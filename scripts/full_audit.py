@@ -3,37 +3,30 @@
 
 Usage: python scripts/full_audit.py [outdir] [--trials N] [--seed S]
 
-Exits nonzero if anything is violated.  Expect a few minutes; the Monte
-Carlo sweeps at n in {25, 27} dominate.
+Runs `gvdc verify all` and writes OUTDIR/audit.json with its manifest
+sidecar.  Without --seed the audits keep their own default seeds.  Exits 2
+if anything is violated.  Expect a few minutes; the Monte Carlo sweeps at
+n in {25, 27} dominate.
 """
 
 import argparse
 import sys
-import time
 
-from gvdc import run_all
-from gvdc.cli import _emit_outputs, _report_json
+from gvdc.cli import main as gvdc_main
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="results")
     ap.add_argument("--trials", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int)
     args = ap.parse_args()
 
-    started = time.time()
-    reports = run_all(mc_trials=args.trials, seed=args.seed)
-    for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in r.parameters.items())
-        print(f"{r.lemma:28s} {r.status:17s} [{params}]")
-    bad = [r for r in reports if not r.ok()]
-    config = {"trials": args.trials, "seed": args.seed}
-    out = f"{args.outdir}/audit.json"
-    _emit_outputs("full-audit", config, {out: _report_json(reports, config)},
-                  out, {}, started)
-    print(f"\n{len(reports)} checks, {len(bad)} violated -> {out}")
-    return 2 if bad else 0
+    argv = ["verify", "all", "--trials", str(args.trials),
+            "--json", f"{args.outdir}/audit.json"]
+    if args.seed is not None:
+        argv += ["--seed", str(args.seed)]
+    return gvdc_main(argv)
 
 
 if __name__ == "__main__":

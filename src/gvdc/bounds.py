@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .gf2poly import BudgetExceededError
-
 mp.dps = 40
 
 
@@ -80,12 +78,6 @@ def gv_guarantee(n: int) -> int:
     raise AssertionError("ball never reached 2^n")
 
 
-def gv_weight_threshold(n: int) -> int:
-    """Greatest w with ball_nonzero(2n, w) < 2^n; the existence argument
-    yields codes of distance strictly above it.  Equals gv_guarantee - 1."""
-    return gv_guarantee(n) - 1
-
-
 def _largest_w(two_n: int, admissible) -> int:
     total = 0
     last = -1
@@ -128,27 +120,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(str(x))
-
-
-def entropy(x) -> float:
-    """Binary entropy in bits; 0 at the endpoints."""
-    if not 0 <= x <= 1:
-        raise ValueError("entropy needs x in [0, 1]")
-    if x in (0, 1):
-        return 0.0
-    return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
-
-
-def kl(x, y) -> float:
-    """Binary Kullback-Leibler divergence D(x || y) in bits."""
-    if not (0 <= x <= 1 and 0 < y < 1):
-        raise ValueError("kl needs x in [0,1], y in (0,1)")
-    t = 0.0
-    if x > 0:
-        t += x * math.log2(x / y)
-    if x < 1:
-        t += (1 - x) * math.log2((1 - x) / (1 - y))
-    return t
 
 
 def _entropy_mp(x: mpf) -> mpf:
@@ -235,20 +206,10 @@ def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
     return value
 
 
-def overhead_exponent(t: int, r: int, n: int) -> mpf:
-    """Per-row cost of the syndrome-count cap spread over r rows:
-    log2(sqrt(2tr))/r + log2(tr + 1)/r + 2 t^2 r / n."""
-    if t < 1 or r < 1 or n < 1:
-        raise ValueError("t, r, n must be >= 1")
-    from mpmath import log, sqrt
-
-    t_, r_, n_ = mpf(t), mpf(r), mpf(n)
-    return log(sqrt(2 * t_ * r_), 2) / r_ + log(t_ * r_ + 1, 2) / r_ + 2 * t_ * t_ * r_ / n_
-
-
 def overhead_exponent_cap(p: int) -> mpf:
-    """Closed-form cap on overhead_exponent across the admissible (t, r, n)
-    range for block prime p: 3/(2(p-1)) + 2 log2(p)/(p-1) + 2/p^(1/3)."""
+    """Cap on the per-row overhead log2(sqrt(2tr))/r + log2(tr + 1)/r +
+    2 t^2 r / n of the syndrome-count cap, across the admissible (t, r, n)
+    for block prime p: 3/(2(p-1)) + 2 log2(p)/(p-1) + 2/p^(1/3)."""
     if p < 2:
         raise ValueError("p must be >= 2")
     from mpmath import log
@@ -295,16 +256,6 @@ def enumeration_margin(n0: int, omega_floor=None, kappa=None,
 
     return (2 * _entropy_mp(K) - _entropy_mp(kap) - _entropy_mp(2 * K - kap)
             - mpf(5) / 2 * log(n0, 2) / n0)
-
-
-def pair_sum_bound(n: int, w, codim: int,
-                   consts: ProofConstants = CONSTANTS) -> mpf:
-    """The audited cap on sum_{i+j<=w} A_i A_j / |C| for a code of the given
-    codimension: scale * ball_nonzero(2n, w) * gamma^codim / 2^n."""
-    if codim < 0 or n < 1:
-        raise ValueError("need n >= 1 and codim >= 0")
-    ball = ball_nonzero(2 * n, w)
-    return consts.scale() * mpf(ball) * consts.gamma() ** codim / mpf(2) ** n
 
 
 def simple_prob_bound(p: int, w) -> Fraction:

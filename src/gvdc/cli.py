@@ -23,7 +23,8 @@ from fractions import Fraction
 from . import __version__, bounds
 from . import verify as audits
 from .bounds import CONSTANTS, ProofConstants
-from .codes import BitVec, CyclicCode, DoubleCirculantCode, dc_sample
+from .codes import (BitVec, CyclicCode, DoubleCirculantCode, bitvec_to_str,
+                    dc_sample)
 from .gf2poly import BudgetExceededError, Poly, factorize, poly_to_str
 from .numbertheory import is_prime, kasami_check
 from .spectrum import (dc_weight_distribution, low_weight_search,
@@ -169,9 +170,9 @@ def _iso(stamp: float) -> str:
 
 def _emit_outputs(command: str, config: dict, outputs: dict[str, bytes],
                   primary: str, input_hashes: dict[str, str],
-                  started: float) -> str:
+                  started: float) -> None:
     """Write every output atomically, then the manifest sidecar next to the
-    primary output.  Returns the manifest file name."""
+    primary output."""
     for path, data in outputs.items():
         _write_atomic(path, data)
     manifest = {
@@ -184,10 +185,8 @@ def _emit_outputs(command: str, config: dict, outputs: dict[str, bytes],
         "outputs": {os.path.basename(p): _sha256(d)
                     for p, d in sorted(outputs.items())},
     }
-    name = primary + ".manifest.json"
     blob = json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n"
-    _write_atomic(name, blob)
-    return os.path.basename(name)
+    _write_atomic(primary + ".manifest.json", blob)
 
 
 def _csv_bytes(header: list[str], rows: list[list], comments: list[str]) -> bytes:
@@ -207,9 +206,7 @@ def _bool_str(flag: bool) -> str:
 
 
 def _deliver_csv(args_out: str | None, command: str, config: dict,
-                 header: list[str], rows: list[list],
-                 input_hashes: dict[str, str], started: float,
-                 extra_outputs: dict[str, bytes] | None = None) -> None:
+                 header: list[str], rows: list[list], started: float) -> None:
     """CSV to stdout, or to a file plus manifest sidecar when --out given."""
     if args_out is None:
         sys.stdout.write(_csv_bytes(header, rows,
@@ -218,8 +215,7 @@ def _deliver_csv(args_out: str | None, command: str, config: dict,
     manifest_name = os.path.basename(args_out) + ".manifest.json"
     comments = [_config_comment(config), f"manifest: {manifest_name}"]
     outputs = {args_out: _csv_bytes(header, rows, comments)}
-    outputs.update(extra_outputs or {})
-    _emit_outputs(command, config, outputs, args_out, input_hashes, started)
+    _emit_outputs(command, config, outputs, args_out, {}, started)
     print(f"wrote {args_out} (+ {manifest_name})")
 
 
@@ -258,7 +254,7 @@ def cmd_primes(args) -> int:
                              _bool_str(rep.wieferich_ok), _bool_str(rep.kasami)])
         p += 1
     config = {"from": args.start, "count": args.count, "all": args.all}
-    _deliver_csv(args.out, "primes", config, PRIMES_HEADER, rows, {}, started)
+    _deliver_csv(args.out, "primes", config, PRIMES_HEADER, rows, started)
     return EXIT_OK
 
 
@@ -286,7 +282,7 @@ def cmd_thresholds(args) -> int:
     config = {"n": args.n, "from": args.start, "to": args.end, **echo}
     config = {k: v for k, v in config.items() if v is not None}
     _deliver_csv(args.out, "thresholds", config, THRESHOLDS_HEADER, rows,
-                 {}, started)
+                 started)
     return EXIT_OK
 
 
@@ -328,8 +324,7 @@ def cmd_mindist(args) -> int:
                         "note": f"no codeword of weight <= {w} found"})
     else:
         payload.update({"d": res.value, "exact": res.exact})
-        if res.witness is not None:
-            payload["witness"] = f"{res.witness.n}:{res.witness.bits:#x}"
+        payload["witness"] = bitvec_to_str(res.witness)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     elif res is None:
@@ -356,8 +351,7 @@ def cmd_spectrum(args) -> int:
         wd = weight_distribution(code)
         config = {"n": args.n, "g": hex(g)}
     rows = [[i, c] for i, c in enumerate(wd.counts)]
-    _deliver_csv(args.out, "spectrum", config, SPECTRUM_HEADER, rows, {},
-                 started)
+    _deliver_csv(args.out, "spectrum", config, SPECTRUM_HEADER, rows, started)
     return EXIT_OK
 
 

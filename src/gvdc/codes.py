@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2poly import (Poly, degree, divmod_raw, gcd_raw, mod_raw,
-                      poly_mul_mod, ring_modulus)
+from .gf2poly import (Poly, degree, divmod_raw, factorize, gcd_raw, mod_raw,
+                      mul_raw, poly_mul_mod, repetition_poly, ring_modulus)
+from .numbertheory import _smallest_prime_factor
 
 
 @dataclass(frozen=True)
@@ -226,8 +227,6 @@ def membership_probability(x: BitVec) -> Fraction:
 def divisor_codes(n: int) -> list[CyclicCode]:
     """All cyclic codes of odd length n, one per divisor of Z^n + 1,
     ordered by ascending codimension then generator value."""
-    from .gf2poly import factorize, mul_raw
-
     fac = factorize(n)
     out = []
     for mask in range(1 << len(fac.factors)):
@@ -243,59 +242,15 @@ def divisor_codes(n: int) -> list[CyclicCode]:
 def nonrepetition_codes(n: int) -> list[CyclicCode]:
     """Cyclic codes of length n = p^m whose generator is not a multiple of
     the p-block marker polynomial; the recursion class of the level bound."""
-    from .gf2poly import mod_raw as _mod, repetition_poly
-
     p = _smallest_prime_factor(n)
-    m = 0
     t = n
     while t % p == 0:
         t //= p
-        m += 1
     if t != 1:
         raise ValueError("n must be a prime power")
     marker = repetition_poly(n, p).bits
     keep = []
     for code in divisor_codes(n):
-        if _mod(code.g, marker) != 0:
+        if mod_raw(code.g, marker) != 0:
             keep.append(code)
     return keep
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def orbit_table(n: int, wmax: int | None = None) -> list[tuple[str, int, int]]:
-    """(representative, orbit length, weight) rows over canonical orbit
-    representatives of all nonzero words of length 2n, optionally truncated
-    to weight <= wmax.  Exhaustive in 2^(2n); keep n small."""
-    if n > 10:
-        from .gf2poly import BudgetExceededError
-
-        raise BudgetExceededError("orbit_table enumerates 4^n words; n <= 10")
-    rows = []
-    seen = set()
-    for bits in range(1, 1 << (2 * n)):
-        x = BitVec(bits, 2 * n)
-        if wmax is not None and x.weight() > wmax:
-            continue
-        rep = canonical_rep(x)
-        if rep.bits in seen:
-            continue
-        seen.add(rep.bits)
-        rows.append((bitvec_to_str(rep), orbit_length(rep), rep.weight()))
-    return rows
-
-
-def orbit_table_csv(n: int, wmax: int | None = None) -> str:
-    """The orbit table as CSV text."""
-    lines = ["representative,orbit_length,weight"]
-    lines.extend(f"{r},{length},{w}" for r, length, w in orbit_table(n, wmax))
-    return "\n".join(lines) + "\n"

@@ -54,18 +54,6 @@ def gcd_raw(a: int, b: int) -> int:
     return a
 
 
-def powmod_raw(a: int, e: int, m: int) -> int:
-    """a(Z)^e mod m(Z), square and multiply."""
-    r = 1
-    a = mod_raw(a, m)
-    while e:
-        if e & 1:
-            r = mod_raw(mul_raw(r, a), m)
-        a = mod_raw(mul_raw(a, a), m)
-        e >>= 1
-    return r
-
-
 def is_irreducible_raw(p: int) -> bool:
     """Rabin test: p of degree d is irreducible iff Z^(2^d) = Z mod p and
     gcd(Z^(2^(d/q)) - Z, p) = 1 for every prime q dividing d."""
@@ -132,37 +120,22 @@ def ring_modulus(n: int) -> int:
     return (1 << n) | 1
 
 
-def poly_mul_mod(u: Poly, v: Poly) -> Poly:
-    """Product in F2[Z]/(Z^n + 1) via rotate-and-xor."""
-    if u.n != v.n:
-        raise ValueError("ring length mismatch")
-    n = u.n
+def ring_mul_raw(a: int, b: int, n: int) -> int:
+    """Product of two residues mod Z^n + 1 (each below 2^n) via
+    rotate-and-xor: every set bit i of a adds b rotated by i."""
     mask = (1 << n) - 1
-    a, b, r = u.bits, v.bits, 0
+    r = 0
     for i in range(n):
         if (a >> i) & 1:
             r ^= ((b << i) | (b >> (n - i))) & mask if i else b
-    return Poly(r, n)
-
-
-def poly_pow_mod(u: Poly, e: int) -> Poly:
-    r = Poly(1, u.n)
-    base = u
-    while e:
-        if e & 1:
-            r = poly_mul_mod(r, base)
-        base = poly_mul_mod(base, base)
-        e >>= 1
     return r
 
 
-def poly_gcd(u, v) -> int:
-    """Monic gcd in F2[Z].  Accepts Poly or raw int; both zero is an error."""
-    a = u.bits if isinstance(u, Poly) else u
-    b = v.bits if isinstance(v, Poly) else v
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return gcd_raw(a, b)
+def poly_mul_mod(u: Poly, v: Poly) -> Poly:
+    """Product in F2[Z]/(Z^n + 1)."""
+    if u.n != v.n:
+        raise ValueError("ring length mismatch")
+    return Poly(ring_mul_raw(u.bits, v.bits, u.n), u.n)
 
 
 def poly_to_str(p: Poly) -> str:

@@ -37,6 +37,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _smallest_prime_factor(n: int) -> int:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def _first_primes_from(start: int, count: int) -> list[int]:
+    out = []
+    p = start
+    while len(out) < count:
+        if is_prime(p):
+            out.append(p)
+        p += 1
+    return out
+
+
 def mult_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 mod n.  Requires gcd(a, n) = 1, n >= 2."""
     if n < 2:

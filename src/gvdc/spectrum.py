@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import BitVec, CyclicCode, DoubleCirculantCode, _rotl
-from .gf2poly import BudgetExceededError, Poly, poly_mul_mod
+from .gf2poly import BudgetExceededError, ring_mul_raw
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,18 @@ def _necklace_positions(n: int, wmax: int | None = None):
     """Yield (weight, position tuple) for every nonzero binary necklace of
     length n (least rotation representatives), optionally weight-bounded."""
     a = [0] * (n + 1)
+    cap = n if wmax is None else wmax
 
     def gen(t, p, ones):
         if t > n:
             if n % p == 0 and ones:
                 yield ones, tuple(i - 1 for i in range(1, n + 1) if a[i])
         else:
+            # weight never drops along a path, so both caps prune exactly
             a[t] = a[t - p]
-            yield from gen(t + 1, p, ones + a[t])
-            if a[t - p] == 0 and (wmax is None or ones < wmax):
+            if ones + a[t] <= cap:
+                yield from gen(t + 1, p, ones + a[t])
+            if a[t - p] == 0 and ones < cap:
                 a[t] = 1
                 yield from gen(t + 1, t, ones + 1)
                 a[t] = 0
@@ -162,9 +165,6 @@ class _NecklaceKernel:
         r = int(np.argmin(w))
         return int(w[r]), int(self.msg_bits[r])
 
-    def has_weight_below(self, a_bits: int, w: int) -> bool:
-        return bool((self._weights(a_bits) <= w).any())
-
 
 def min_distance_exact(code: DoubleCirculantCode, limit: int = 28) -> DistanceResult:
     """Exact minimum distance by sweeping rotation-class representatives of
@@ -176,7 +176,7 @@ def min_distance_exact(code: DoubleCirculantCode, limit: int = 28) -> DistanceRe
             "Use low_weight_search for a randomized witness.")
     kernel = _NecklaceKernel(n, None)
     d, msg = kernel.min_weight(code.a.bits)
-    left = poly_mul_mod(Poly(msg, n), Poly(code.a.bits, n)).bits
+    left = ring_mul_raw(msg, code.a.bits, n)
     return DistanceResult(d, BitVec(left | (msg << n), 2 * n), True)
 
 
@@ -238,35 +238,3 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     if best is not None and best_wt <= w:
         return DistanceResult(best_wt, BitVec(best, 2 * n), False)
     return None
-
-
-def generator_weight_census(target: CyclicCode,
-                            lattice: list[CyclicCode]) -> list[int]:
-    """Counts, by weight, of vectors u whose generated cyclic code is exactly
-    the target.  `lattice` must be the complete divisor lattice for length n;
-    the census subtracts every proper subcode's census from the target's
-    weight distribution."""
-    n = target.n
-    by_g = {c.g: c for c in lattice}
-    if target.g not in by_g:
-        raise ValueError("target is not in the supplied lattice")
-    k = len({c.g for c in lattice})
-    if k != len(lattice) or k & (k - 1):
-        raise ValueError("lattice is incomplete or has duplicates")
-
-    from .gf2poly import mod_raw
-
-    @lru_cache(maxsize=None)
-    def census(g: int) -> tuple[int, ...]:
-        code = by_g[g]
-        counts = list(weight_distribution(code).counts)
-        for other in lattice:
-            # proper subcode: generator strictly above g in divisibility
-            if other.g != g and mod_raw(other.g, g) == 0:
-                for j, c in enumerate(census(other.g)):
-                    counts[j] -= c
-        if any(c < 0 for c in counts):
-            raise AssertionError("census went negative; lattice inconsistent")
-        return tuple(counts)
-
-    return list(census(target.g))

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,9 +26,10 @@ from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
                     nonrepetition_codes)
-from .gf2poly import BudgetExceededError, ring_modulus
-from .numbertheory import is_prime, next_kasami_prime
-from .spectrum import _NecklaceKernel, low_weight_search, weight_distribution
+from .gf2poly import BudgetExceededError, mod_raw, ring_modulus, ring_mul_raw
+from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
+from .spectrum import (_gray_weights, _NecklaceKernel, low_weight_search,
+                       weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
 VERIFIED_NUMERIC = "verified-numeric"
@@ -93,10 +95,7 @@ def _census_all(n: int) -> dict[int, tuple[int, ...]]:
     """Exact-generator census for every divisor code of length n: entry g
     counts, by weight, the vectors spanning exactly the code with
     generator g."""
-    lattice = divisor_codes(n)
-    from .gf2poly import mod_raw
-
-    order = sorted(lattice, key=lambda c: c.dim)
+    order = sorted(divisor_codes(n), key=lambda c: c.dim)
     res: dict[int, tuple[int, ...]] = {}
     for code in order:
         counts = list(_wd_cached(code).counts)
@@ -122,18 +121,12 @@ def verify_lemma_cx(n: int) -> LemmaReport:
     if n % 2 == 0 or n > 10:
         raise ValueError("n must be odd and <= 10")
     t0 = time.monotonic()
-    from .gf2poly import mod_raw
-
     size_n = 1 << n
-    mask = size_n - 1
     for xr in range(size_n):
         c = cyclic_from_vector(BitVec(xr, n)) if xr else CyclicCode(n, ring_modulus(n))
         counts: dict[int, int] = {}
         for a in range(size_n):
-            prod = 0
-            for i in range(n):
-                if (xr >> i) & 1:
-                    prod ^= ((a << i) | (a >> (n - i))) & mask if i else a
+            prod = ring_mul_raw(xr, a, n)
             counts[prod] = counts.get(prod, 0) + 1
         mult = size_n // c.size()
         uniform = len(counts) == c.size() and all(v == mult for v in counts.values())
@@ -194,10 +187,9 @@ def _bruteforce_pair_hist(n: int) -> tuple[int, ...]:
     hist = [0] * (2 * n + 1)
     for a in range(1 << n):
         rows = DoubleCirculantCode(n, BitVec(a, n)).generator_rows()
-        word = 0
-        for i in range(1, 1 << n):
-            word ^= rows[(i & -i).bit_length() - 1]
-            hist[word.bit_count()] += 1
+        for w, c in enumerate(_gray_weights(rows, 2 * n)):
+            hist[w] += c
+    hist[0] -= 1 << n  # the zero message of every column
     return tuple(hist)
 
 
@@ -319,7 +311,41 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
     return total
 
 
-def verify_triplesum(p: int, m: int, w, trials: int | None = None,
+# a level-sum bound at or above this is not discriminating
+_DISCRIMINATING = 0.9
+
+
+def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
+                           seed: int, t0: float) -> list[LemmaReport]:
+    """Monte Carlo audit of the level sum at n = p^m for every w in
+    rhs_by_w, all answered by one pass over the same sampled columns.  The
+    kernel is capped at the largest w; its minimum is exact whenever it is
+    at or below the cap, so each hit count is exact."""
+    n = p**m
+    kernel = _NecklaceKernel(n, math.floor(max(rhs_by_w)))
+    dmins = [kernel.min_weight(dc_sample(n, trial_seed(seed, i)).a.bits)[0]
+             for i in range(trials)]
+    runtime = time.monotonic() - t0
+    reports = []
+    for w, rhs in sorted(rhs_by_w.items()):
+        hits = sum(1 for d in dmins if d <= w)
+        upper = wilson_upper(hits, trials)
+        if float(rhs) >= _DISCRIMINATING:
+            note = (f"bound is above {_DISCRIMINATING} here and not "
+                    "discriminating")
+        else:
+            note = (f"Wilson 99% upper edge "
+                    f"{'below' if upper <= float(rhs) else 'ABOVE'} the bound "
+                    f"({trials} samples, {hits} hits)")
+        reports.append(LemmaReport(
+            "level-pair-sum-bound",
+            {"p": p, "m": m, "w": w, "trials": trials, "seed": seed},
+            INFORMATIVE, f"{upper:.6f}", str(rhs), runtime=runtime,
+            notes=note))
+    return reports
+
+
+def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
                      seed: int = 0) -> LemmaReport:
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
     Exact for n <= 14; Monte Carlo with a 99% Wilson upper edge otherwise,
@@ -329,40 +355,21 @@ def verify_triplesum(p: int, m: int, w, trials: int | None = None,
     n = p**m
     t0 = time.monotonic()
     rhs = triple_sum_value(p, m, w)
-    params = {"p": p, "m": m, "w": w}
-    if n <= 14:
-        lhs = prob_positive_bruteforce(n, w)
-        status = VERIFIED_EXACT if lhs <= rhs else VIOLATED
-        return LemmaReport("level-pair-sum-bound", params, status,
-                           str(lhs), str(rhs),
-                           runtime=time.monotonic() - t0,
-                           counterexample=None if lhs <= rhs else f"n={n} w={w}")
-    trials = 10_000 if trials is None else trials
-    W = math.floor(w)
-    kernel = _NecklaceKernel(n, W)
-    hits = 0
-    for i in range(trials):
-        a = dc_sample(n, trial_seed(seed, i))
-        if kernel.has_weight_below(a.a.bits, W):
-            hits += 1
-    upper = wilson_upper(hits, trials)
-    rhs_f = float(rhs)
-    if rhs_f >= 0.9:
-        note = "bound is above 0.9 here and not discriminating"
-    else:
-        note = (f"Wilson 99% upper edge {'below' if upper <= rhs_f else 'ABOVE'}"
-                f" the bound ({trials} samples, {hits} hits)")
-    return LemmaReport("level-pair-sum-bound",
-                       {**params, "trials": trials, "seed": seed},
-                       INFORMATIVE, f"{upper:.6f}", str(rhs),
-                       runtime=time.monotonic() - t0, notes=note)
+    if n > 14:
+        return _sampled_level_reports(p, m, {w: rhs}, trials, seed, t0)[0]
+    lhs = prob_positive_bruteforce(n, w)
+    status = VERIFIED_EXACT if lhs <= rhs else VIOLATED
+    return LemmaReport("level-pair-sum-bound", {"p": p, "m": m, "w": w},
+                       status, str(lhs), str(rhs),
+                       runtime=time.monotonic() - t0,
+                       counterexample=None if lhs <= rhs else f"n={n} w={w}")
 
 
 def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
-                           seed: int = 0, cap: float = 0.9) -> list[LemmaReport]:
+                           seed: int = 0) -> list[LemmaReport]:
     """Level-sum audit across every weight at n = p^m.  Exact for n <= 14.
-    Larger n: one Monte Carlo pass shared by every w whose bound is below
-    cap, so the same samples answer all of them."""
+    Larger n: one Monte Carlo pass shared by every w whose bound is still
+    discriminating."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     n = p**m
@@ -372,31 +379,12 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
     rhs_by_w = {}
     for w in range(1, 2 * n + 1):
         rhs = triple_sum_value(p, m, w)
-        if float(rhs) >= cap:
+        if float(rhs) >= _DISCRIMINATING:
             break
         rhs_by_w[w] = rhs
     if not rhs_by_w:
         return []
-    wmax = max(rhs_by_w)
-    kernel = _NecklaceKernel(n, wmax)
-    # min over messages of weight <= wmax; exact whenever the result <= wmax
-    dmins = []
-    for i in range(trials):
-        a = dc_sample(n, trial_seed(seed, i))
-        dmins.append(kernel.min_weight(a.a.bits)[0])
-    base = time.monotonic() - t0
-    reports = []
-    for w, rhs in sorted(rhs_by_w.items()):
-        hits = sum(1 for d in dmins if d <= w)
-        upper = wilson_upper(hits, trials)
-        ok = upper <= float(rhs)
-        reports.append(LemmaReport(
-            "level-pair-sum-bound",
-            {"p": p, "m": m, "w": w, "trials": trials, "seed": seed},
-            INFORMATIVE, f"{upper:.6f}", str(rhs), runtime=base,
-            notes=(f"Wilson 99% upper edge {'below' if ok else 'ABOVE'} the "
-                   f"bound ({trials} samples, {hits} hits)")))
-    return reports
+    return _sampled_level_reports(p, m, rhs_by_w, trials, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +492,6 @@ def verify_distrib_inequality(samples: int = 20, seed: int = 7) -> LemmaReport:
 
 # ---------------------------------------------------------------------------
 # numeric caps
-
-
-def _first_primes_from(start: int, count: int) -> list[int]:
-    out = []
-    p = start
-    while len(out) < count:
-        if is_prime(p):
-            out.append(p)
-        p += 1
-    return out
 
 
 def verify_kappa_numerics(consts: ProofConstants = CONSTANTS) -> LemmaReport:
@@ -702,34 +680,29 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     if search_weight is None:
         search_weight = gv
     count = (1 << n) if exhaustive else trials
-    indices = list(range(count))
-    workers = max(1, workers)
+    in_process = workers <= 1 or count < 4
     t0 = time.monotonic()
+    # one block per worker; under a budget, blocks of at most 64 trials,
+    # and the deadline is checked before each block is run or collected
+    chunk = -(-count // (1 if in_process else workers))
+    if max_seconds is not None:
+        chunk = min(chunk, 64)
+    jobs = [(n, range(i, min(i + chunk, count)), seed, mode, search_weight,
+             effort, exhaustive) for i in range(0, count, max(1, chunk))]
     truncated = False
     blocks = []
-    if workers == 1 or count < 4:
-        step = count if max_seconds is None else min(64, count)
-        for i in range(0, count, max(1, step)):
+    with (nullcontext() if in_process
+          else ProcessPoolExecutor(max_workers=workers)) as pool:
+        pending = (jobs if pool is None
+                   else [pool.submit(_run_trial_block, job) for job in jobs])
+        for job in pending:
             if max_seconds is not None and time.monotonic() - t0 > max_seconds:
                 truncated = True
                 break
-            blocks.append(_run_trial_block(
-                (n, indices[i: i + step], seed, mode, search_weight, effort,
-                 exhaustive)))
-    else:
-        chunk = (count + workers - 1) // workers
-        if max_seconds is not None:
-            chunk = max(1, min(chunk, 64))
-        jobs = [(n, indices[i: i + chunk], seed, mode, search_weight, effort,
-                 exhaustive) for i in range(0, count, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = [pool.submit(_run_trial_block, j) for j in jobs]
-            for fut in pending:
-                if max_seconds is not None and time.monotonic() - t0 > max_seconds:
-                    truncated = True
-                    fut.cancel()
-                    continue
-                blocks.append(fut.result())
+            blocks.append(_run_trial_block(job) if pool is None
+                          else job.result())
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     rows = sorted(r for block in blocks for r in block)
     records = [ExperimentRecord(n, idx, tseed, hex(a_bits), found,
                                 mode == "exact", gv, kind, threshold)
@@ -763,24 +736,3 @@ def experiment_distance(n: int | None = None, p: int | None = None,
             else:
                 summary["wilson_upper_99"] = round(wilson_upper(at_most, done), 9)
     return records, summary
-
-
-# ---------------------------------------------------------------------------
-# the whole audit
-
-
-def run_all(mc_trials: int = 10_000, seed: int = 0) -> list[LemmaReport]:
-    """Every audit at its acceptance scope; Monte Carlo size adjustable."""
-    reports = [verify_lemma_cx(nn) for nn in (3, 5, 7, 9)]
-    for nn in (9, 13):
-        for w in range(1, 2 * nn + 1):
-            reports.append(verify_orbit_bound(nn, w))
-    for p, m in ((3, 2), (13, 1), (5, 2), (3, 3)):
-        reports.extend(verify_triplesum_sweep(p, m, trials=mc_trials,
-                                              seed=seed))
-    reports.append(verify_repetition())
-    reports.append(verify_distrib_inequality())
-    reports.append(verify_kappa_numerics())
-    reports.append(verify_enumeration())
-    reports.append(verify_c2_and_series())
-    return reports

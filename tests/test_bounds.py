@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
-from gvdc.bounds import (CONSTANTS, ProofConstants, ball_nonzero,
-                         ball_rate_ok, class_sum_bound, entropy,
+from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp, _kl_mp,
+                         ball_nonzero, ball_rate_ok, class_sum_bound,
                          enumeration_margin, gv_guarantee,
-                         gv_weight_threshold, kl, level_series_bound,
-                         main_threshold, max_weight_tail_exponent,
-                         overhead_exponent_cap, pair_sum_bound,
+                         level_series_bound, main_threshold,
+                         max_weight_tail_exponent, overhead_exponent_cap,
                          repetition_bound, simple_prob_bound,
                          simple_threshold, stirling_lower, volume,
                          weight_tail_exponent)
@@ -48,12 +48,6 @@ def test_gv_guarantee_is_monotone():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_gv_weight_threshold_relation():
-    # the exclusive-strict variant sits one below the guarantee
-    for n in (5, 9, 13, 25, 27, 64):
-        assert gv_weight_threshold(n) == gv_guarantee(n) - 1
-
-
 def test_simple_threshold_values_and_domain():
     assert simple_threshold(13) == 4
     assert simple_threshold(5) == 2
@@ -84,16 +78,13 @@ def test_main_threshold_values():
 
 
 def test_entropy_and_kl():
-    assert entropy(0.5) == 1.0
-    assert entropy(0) == 0.0 and entropy(1) == 0.0
-    assert abs(entropy(0.1) - 0.4689955935892812) < 1e-15
-    assert abs(entropy(0.11) - entropy(0.89)) < 1e-12  # symmetry
-    assert kl(0.5, 0.5) == 0.0
-    assert kl(0.3, 0.5) > 0
-    with pytest.raises(ValueError):
-        entropy(-0.1)
-    with pytest.raises(ValueError):
-        entropy(1.5)
+    assert abs(_entropy_mp(mpf("0.5")) - 1) < mpf("1e-35")
+    assert _entropy_mp(mpf(0)) == 0 and _entropy_mp(mpf(1)) == 0
+    assert abs(_entropy_mp(mpf("0.1")) - 0.4689955935892812) < 1e-15
+    symmetric = _entropy_mp(mpf("0.11")) - _entropy_mp(mpf("0.89"))
+    assert abs(symmetric) < mpf("1e-35")
+    assert _kl_mp(mpf("0.5"), mpf("0.5")) == 0
+    assert _kl_mp(mpf("0.3"), mpf("0.5")) > 0
 
 
 def test_stirling_lower_bounds_binomials():
@@ -156,14 +147,6 @@ def test_enumeration_margin_value():
 def test_ball_rate_ok():
     assert ball_rate_ok(2744)
     assert ball_rate_ok(5000)
-
-
-def test_pair_sum_bound_monotone_in_codim():
-    # doubling the ambient code halves each membership probability
-    for codim in range(4):
-        hi = pair_sum_bound(9, 4, codim)
-        lo = pair_sum_bound(9, 4, codim + 1)
-        assert lo <= hi
 
 
 def test_constants_are_frozen():

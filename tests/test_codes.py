@@ -11,8 +11,7 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         bitvec_from_str, bitvec_to_str, canonical_rep,
                         cyclic_contains, cyclic_from_vector, dc_contains,
                         dc_sample, divisor_codes, membership_probability,
-                        nonrepetition_codes, orbit_length, orbit_table,
-                        orbit_table_csv, shift_action)
+                        nonrepetition_codes, orbit_length, shift_action)
 from gvdc.gf2poly import ring_modulus
 
 
@@ -122,37 +121,6 @@ def test_canonical_rep_is_orbit_invariant():
         for j in range(n):
             assert canonical_rep(shift_action(j, x)) == c
         assert c.bits <= x.bits
-
-
-def test_orbit_table_partitions_the_space():
-    for n in (3, 5):
-        rows = orbit_table(n)
-        # table covers nonzero words; the zero orbit contributes length 1
-        assert sum(length for _, length, _ in rows) + 1 == 2 ** (2 * n)
-        reps = [bitvec_from_str(r) for r, _, _ in rows]
-        assert all(canonical_rep(v) == v for v in reps)
-        assert len({r.bits for r in reps}) == len(rows)
-        # independent oracle: distinct canonical reps over the whole space
-        space = {canonical_rep(BitVec(b, 2 * n)).bits
-                 for b in range(1, 1 << (2 * n))}
-        assert {r.bits for r in reps} == space
-
-
-def test_orbit_table_weight_cap():
-    rows = orbit_table(5, wmax=2)
-    assert rows and all(w <= 2 for _, _, w in rows)
-    full = {r for r, _, w in orbit_table(5) if w <= 2}
-    assert {r for r, _, _ in rows} == full
-
-
-def test_orbit_table_csv_shape():
-    text = orbit_table_csv(3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "representative,orbit_length,weight"
-    assert len(lines) == 1 + len(orbit_table(3))
-    rep, length, w = lines[1].split(",")
-    v = bitvec_from_str(rep)
-    assert orbit_length(v) == int(length) and v.weight() == int(w)
 
 
 def test_cyclic_code_examples():

@@ -10,10 +10,11 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         cyclic_contains, dc_contains, dc_sample,
                         divisor_codes, nonrepetition_codes)
 from gvdc.gf2poly import BudgetExceededError, ring_modulus
-from gvdc.spectrum import (WeightDistribution, dc_weight_distribution,
-                           generator_weight_census, low_weight_search,
+from gvdc.spectrum import (WeightDistribution, _necklace_positions,
+                           dc_weight_distribution, low_weight_search,
                            macwilliams_transform, min_distance_exact,
                            weight_distribution)
+from gvdc.verify import _census_all
 
 
 def brute_weight_distribution(code: CyclicCode) -> tuple[int, ...]:
@@ -178,21 +179,20 @@ def test_low_weight_search_none_when_impossible():
 
 
 def test_generator_weight_census_hand_value():
-    lattice = divisor_codes(3)
+    census = _census_all(3)
     # counts vectors of each weight whose spanned cyclic code is exactly
     # the target; weight-2 vectors have the 1+Z factor, so they span the
     # even-weight code rather than the full space
-    assert generator_weight_census(CyclicCode(3, 1), lattice) == [0, 3, 0, 0]
-    assert generator_weight_census(CyclicCode(3, 0b11), lattice) == [0, 0, 3, 0]
-    assert generator_weight_census(CyclicCode(3, 0b111), lattice) == [0, 0, 0, 1]
+    assert census[1] == (0, 3, 0, 0)
+    assert census[0b11] == (0, 0, 3, 0)
+    assert census[0b111] == (0, 0, 0, 1)
 
 
 def test_generator_weight_census_sums_to_space():
     for n in (3, 5, 9):
-        lattice = divisor_codes(n)
         total = [0] * (n + 1)
-        for code in lattice:
-            for w, c in enumerate(generator_weight_census(code, lattice)):
+        for code in divisor_codes(n):
+            for w, c in enumerate(_census_all(n)[code.g]):
                 total[w] += c
         # every vector generates exactly one cyclic code
         assert total == [wd_c for wd_c in binomial_row(n)]
@@ -212,6 +212,14 @@ def test_census_weight_matches_spanned_code(bits):
     n = 9
     u = BitVec(bits, n)
     spanned = cyclic_from_vector(u)
-    lattice = divisor_codes(n)
-    census = generator_weight_census(spanned, lattice)
-    assert census[u.weight()] >= 1
+    assert _census_all(n)[spanned.g][u.weight()] >= 1
+
+
+def test_necklace_weight_cap_is_exact():
+    # the capped generator yields exactly the light rows of the uncapped
+    # one, in the same order
+    for n in range(1, 17):
+        full = list(_necklace_positions(n))
+        for wmax in range(n + 1):
+            assert list(_necklace_positions(n, wmax)) == \
+                [row for row in full if row[0] <= wmax]

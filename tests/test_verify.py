@@ -146,6 +146,22 @@ def test_verify_triplesum_sweep_monte_carlo():
         assert "400 samples" in r.notes
 
 
+def test_verify_triplesum_sampled_matches_sweep():
+    # one Monte Carlo pass answers both entry points identically
+    sweep = {r.parameters["w"]: r
+             for r in verify_triplesum_sweep(5, 2, trials=300, seed=2)}
+    for w in (5, 7):
+        r = verify_triplesum(5, 2, w, trials=300, seed=2)
+        s = sweep[w]
+        assert r.status == INFORMATIVE
+        assert (r.lhs, r.rhs, r.notes, r.parameters) == \
+            (s.lhs, s.rhs, s.notes, s.parameters)
+    loose = verify_triplesum(5, 2, 8, trials=300, seed=2)
+    assert float(Fraction(loose.rhs)) >= 0.9 and 8 not in sweep
+    assert loose.status == INFORMATIVE
+    assert loose.notes == "bound is above 0.9 here and not discriminating"
+
+
 def test_exhaustive_distance_table_p13():
     table = dc_distance_table(13)
     assert len(table) == 1 << 13
@@ -194,6 +210,10 @@ def test_experiment_seed_and_worker_invariance():
     assert par_summary == base_summary
     other_records, _ = experiment_distance(n=11, trials=24, seed=5)
     assert other_records != base_records
+    search = dict(n=33, trials=12, seed=2, mode="search", search_weight=8,
+                  effort=20)
+    assert experiment_distance(**search) == \
+        experiment_distance(**search, workers=3)
 
 
 def test_experiment_vacuous_and_exhaustive_flags():
@@ -240,6 +260,17 @@ def test_experiment_truncation_budget():
     # completed prefix is still the deterministic prefix
     if records:
         assert records[0].seed == trial_seed(0, 0)
+
+
+def test_experiment_pool_budget_keeps_prefix():
+    records, summary = experiment_distance(
+        n=13, trials=200, seed=6, workers=2, max_seconds=0
+    )
+    assert summary["truncated"]
+    assert summary["completed"] < summary["trials"] == 200
+    assert len(records) == summary["completed"]
+    full, _ = experiment_distance(n=13, trials=200, seed=6)
+    assert records == full[:len(records)]
 
 
 def test_lemma_report_ok_semantics():
