@@ -35,12 +35,13 @@ def mul_raw(a: int, b: int) -> int:
 def divmod_raw(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = degree(b)
+    db = b.bit_length()
     q = 0
-    while a and degree(a) >= db:
-        sh = degree(a) - db
+    sh = a.bit_length() - db
+    while sh >= 0:
         q |= 1 << sh
         a ^= b << sh
+        sh = a.bit_length() - db
     return q, a
 
 
@@ -52,6 +53,17 @@ def gcd_raw(a: int, b: int) -> int:
     while b:
         a, b = b, mod_raw(a, b)
     return a
+
+
+def xgcd_raw(a: int, m: int) -> tuple[int, int]:
+    """(g, s) with g = gcd(a, m) and s a = g (mod m), by the extended
+    Euclidean algorithm; m must be nonzero."""
+    r0, r1, s0, s1 = m, mod_raw(a, m), 0, 1
+    # invariant: s_i a = r_i (mod m)
+    while r1:
+        q, r = divmod_raw(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ mul_raw(q, s1)
+    return r0, s0
 
 
 def is_irreducible_raw(p: int) -> bool:

@@ -2,8 +2,9 @@
 
 Exact distributions are computed by Gray-code enumeration on whichever of a
 cyclic code or its dual is smaller, with the transform bridging the two.
-Distances of double circulant codes run over rotation-class representatives
-of the message half, since rotating the message rotates the codeword.
+The exact minimum distance of a double circulant code comes from one engine,
+a two-sided search that raises a weight level on both halves of the code and
+stops when a lower bound on every unseen codeword meets the best one found.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import BitVec, CyclicCode, DoubleCirculantCode, _rotl
-from .gf2poly import BudgetExceededError, ring_mul_raw
+from .codes import BitVec, CyclicCode, DoubleCirculantCode
+from .gf2poly import (BudgetExceededError, degree, divmod_raw, mod_raw,
+                      ring_modulus, xgcd_raw)
 
 
 @dataclass(frozen=True)
@@ -125,59 +127,155 @@ def _necklace_positions(n: int, wmax: int | None = None):
     yield from gen(1, 1, 0)
 
 
-@lru_cache(maxsize=16)
-class _NecklaceKernel:
-    """Precomputed rotation-class table for one (n, wmax); evaluates the
-    minimum codeword weight of any circulant column in a few array passes."""
+# largest n for which exact distance is offered, by min_distance_exact and
+# by exact-mode experiments
+EXACT_MAX_N = 28
 
-    def __init__(self, n: int, wmax: int | None = None):
-        self.n = n
-        rows = list(_necklace_positions(n, wmax))
-        if not rows:
-            raise ValueError("no nonzero messages under the weight cap")
-        width = max(len(pos) for _, pos in rows)
-        # unused slots point at a zero pad entry
-        self.idx = np.full((len(rows), width), n, dtype=np.int64)
-        self.msg_weight = np.empty(len(rows), dtype=np.uint64)
-        self.msg_bits = np.empty(len(rows), dtype=np.uint64)
-        for r, (w, pos) in enumerate(rows):
-            self.idx[r, : len(pos)] = pos
-            self.msg_weight[r] = w
-            bits = 0
-            for i in pos:
-                bits |= 1 << i
-            self.msg_bits[r] = bits
-        self._rot = np.zeros(n + 1, dtype=np.uint64)
+# a column whose annihilator has more than 2^_K_BITS_MAX words is searched
+# from the message side alone
+_K_BITS_MAX = 16
 
-    def _weights(self, a_bits: int) -> np.ndarray:
-        n = self.n
-        rot = self._rot
-        for j in range(n):
-            rot[j] = _rotl(a_bits, j, n)
-        acc = rot[self.idx[:, 0]]
-        for c in range(1, self.idx.shape[1]):
-            acc ^= rot[self.idx[:, c]]
-        return np.bitwise_count(acc).astype(np.uint64) + self.msg_weight
-
-    def min_weight(self, a_bits: int) -> tuple[int, int]:
-        """(min codeword weight, witness message bits) over the table."""
-        w = self._weights(a_bits)
-        r = int(np.argmin(w))
-        return int(w[r]), int(self.msg_bits[r])
+# entries per (rows x annihilator) block in a left-side level
+_BLOCK = 1 << 20
 
 
-def min_distance_exact(code: DoubleCirculantCode, limit: int = 28) -> DistanceResult:
-    """Exact minimum distance by sweeping rotation-class representatives of
-    the message half; work grows as 2^n / n."""
+@lru_cache(maxsize=128)
+def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The necklaces of length n and weight exactly t >= 1: a (t, rows)
+    array of their set positions and a (rows,) array of their bits."""
+    rows = [pos for w, pos in _necklace_positions(n, t) if w == t]
+    idx = np.array(rows, dtype=np.intp).reshape(-1, t).T.copy()
+    bits = np.array([sum(1 << i for i in pos) for pos in rows],
+                    dtype=np.uint64)
+    idx.flags.writeable = False
+    bits.flags.writeable = False
+    return idx, bits
+
+
+def _xor_gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row-wise xor of table entries at the positions in each column of
+    idx, for a (t, rows) idx."""
+    acc = table[idx[0]]
+    for c in range(1, idx.shape[0]):
+        acc ^= table[idx[c]]
+    return acc
+
+
+def _min_codeword(n: int, a_bits: int,
+                  cap: int | None = None) -> tuple[int, int]:
+    """(weight, codeword) of a lightest nonzero codeword of the [2n, n]
+    code with column a; the codeword packs x_L in its low n bits.  With a
+    cap the weight is min(d, cap + 1), and the codeword is 0 above the cap.
+
+    A two-sided search by weight level.  Every nonzero codeword has
+    x_L = x_R a with x_R != 0, and rotating both halves keeps it a
+    codeword of the same weight, so one rotation of each codeword is
+    enough: the one whose right half, or whose left half, is a necklace.
+    Let g = gcd(a, Z^n + 1), h = (Z^n + 1) / g, r = deg g and
+    b = (a / g)^-1 mod h, which exists for every n because
+    gcd(a / g, h) = 1.  The left halves are the multiples of g, and over
+    a left half u the right halves are (u / g) b + K, where
+    K = <h> = {k : k a = 0} has 2^r words.
+
+    - Right level t: (m a, m) for every necklace m of weight t, which
+      covers every codeword with wt(x_R) = t.
+    - Left level t: (u, (u / g) b + k) for every necklace u = 0 mod g of
+      weight t and every k in K, which covers every codeword with
+      wt(x_L) = t; level 0 is (0, k) for k in K, k != 0.
+
+    The levels run R1, L0, L1, R2, L2, R3, ...  After right levels up to
+    t_R and left levels up to t_L, a codeword not yet seen has
+    wt(x_R) >= t_R + 1 and wt(x_L) >= t_L + 1, so weight >= t_R + t_L + 2.
+    The search stops once the best weight found is at most that bound, or,
+    under a cap, once the bound exceeds the cap.  When r > _K_BITS_MAX, K
+    is too large to list (and when n + r > 64 the left table does not fit
+    a uint64): only the right levels run, with bound t_R + 1.  Right level
+    n sees every codeword, so the search always ends.  Ties go to the
+    first strict improvement in level order."""
+    mask = (1 << n) - 1
+    modulus = ring_modulus(n)
+    # s a = g (mod Z^n + 1), so s (a / g) = 1 (mod h)
+    g, s = xgcd_raw(a_bits, modulus)
+    r = degree(g)
+    rot = np.array([((a_bits << j) | (a_bits >> (n - j))) & mask
+                    for j in range(n)], dtype=np.uint64)
+    steps = [(0, t) for t in range(1, n + 1)]
+    if r <= _K_BITS_MAX and n + r <= 64:
+        h = divmod_raw(modulus, g)[0]
+        b = mod_raw(s, h)
+        # Z^i = q_i g + rem_i.  A left half u is the sum of its Z^i, so
+        # u = 0 mod g exactly when the rem_i sum to 0, and then its right
+        # half (u / g) b is the sum of the q_i b; quo[i] packs both
+        q, rem = divmod_raw(1, g)
+        qb = b if q else 0
+        quo = []
+        for _ in range(n):
+            quo.append(qb | rem << n)
+            rem <<= 1
+            qb = ((qb << 1) | (qb >> (n - 1))) & mask
+            if (rem >> r) & 1:
+                rem ^= g
+                qb ^= b
+        quo = np.array(quo, dtype=np.uint64)
+        kern = np.zeros(1, dtype=np.uint64)
+        for j in range(r):
+            kern = np.concatenate([kern, kern ^ np.uint64(h << j)])
+        steps = [(0, 1), (1, 0), (1, 1)] + [(side, t) for t in range(2, n + 1)
+                                            for side in (0, 1)]
+    best, word = 2 * n + 1, 0
+    seen = [0, -1]  # highest right and left level searched
+    for side, t in steps:
+        bound = seen[0] + seen[1] + 2
+        if best <= bound or (cap is not None and bound > cap):
+            break
+        seen[side] = t
+        if side == 0:
+            idx, bits = _necklace_level(n, t)
+            left = _xor_gather(rot, idx)
+            wts = np.bitwise_count(left)
+            i = int(wts.argmin())
+            if t + int(wts[i]) < best:
+                best = t + int(wts[i])
+                word = int(left[i]) | int(bits[i]) << n
+        elif t == 0:
+            if r:
+                wts = np.bitwise_count(kern[1:])
+                i = int(wts.argmin())
+                if int(wts[i]) < best:
+                    best, word = int(wts[i]), int(kern[1 + i]) << n
+        else:
+            idx, bits = _necklace_level(n, t)
+            acc = _xor_gather(quo, idx)
+            keep = (acc <= mask).nonzero()[0]
+            if not keep.size:
+                continue
+            right = acc[keep]
+            step = max(1, _BLOCK >> r)
+            row_min = np.concatenate([
+                np.bitwise_count(right[j:j + step, None] ^ kern).min(axis=1)
+                for j in range(0, len(right), step)])
+            i = int(row_min.argmin())
+            if t + int(row_min[i]) < best:
+                best = t + int(row_min[i])
+                coset = right[i] ^ kern
+                k = int(np.bitwise_count(coset).argmin())
+                word = int(bits[keep[i]]) | int(coset[k]) << n
+    if cap is not None and best > cap:
+        return cap + 1, 0
+    return best, word
+
+
+def min_distance_exact(code: DoubleCirculantCode,
+                       limit: int = EXACT_MAX_N) -> DistanceResult:
+    """Exact minimum distance with a minimum-weight witness, by the
+    two-sided weight-level search of _min_codeword."""
     n = code.n
     if n > limit:
         raise BudgetExceededError(
-            f"exact distance enumerates 2^{n} messages; n <= {limit}. "
+            f"exact distance is offered for n <= {limit}, not n = {n}. "
             "Use low_weight_search for a randomized witness.")
-    kernel = _NecklaceKernel(n, None)
-    d, msg = kernel.min_weight(code.a.bits)
-    left = ring_mul_raw(msg, code.a.bits, n)
-    return DistanceResult(d, BitVec(left | (msg << n), 2 * n), True)
+    d, word = _min_codeword(n, code.a.bits)
+    return DistanceResult(d, BitVec(word, 2 * n), True)
 
 
 def dc_weight_distribution(code: DoubleCirculantCode,

@@ -28,7 +28,8 @@ from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     nonrepetition_codes)
 from .gf2poly import BudgetExceededError, mod_raw, ring_modulus, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
-from .spectrum import (_gray_weights, _NecklaceKernel, low_weight_search,
+from .spectrum import (EXACT_MAX_N, _gray_weights, _min_codeword,
+                       low_weight_search, min_distance_exact,
                        weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
@@ -206,8 +207,16 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
     """Exact minimum distance of every [2n, n] circulant-column code."""
     if n > 16:
         raise BudgetExceededError("exhaustive table needs 2^n codes; n <= 16")
-    kernel = _NecklaceKernel(n, None)
-    return tuple(kernel.min_weight(a)[0] for a in range(1 << n))
+    # rotating the column rotates the left half of every codeword, so one
+    # search serves a whole rotation class; every distance is at least 1
+    mask = (1 << n) - 1
+    table = [0] * (1 << n)
+    for a in range(1 << n):
+        if not table[a]:
+            d = _min_codeword(n, a)[0]
+            for j in range(n):
+                table[((a << j) | (a >> (n - j))) & mask] = d
+    return tuple(table)
 
 
 def prob_positive_bruteforce(n: int, w) -> Fraction:
@@ -319,11 +328,12 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
                            seed: int, t0: float) -> list[LemmaReport]:
     """Monte Carlo audit of the level sum at n = p^m for every w in
     rhs_by_w, all answered by one pass over the same sampled columns.  The
-    kernel is capped at the largest w; its minimum is exact whenever it is
-    at or below the cap, so each hit count is exact."""
+    distance search is capped at the largest w and decides d <= w exactly
+    for every w up to the cap, so each hit count is exact."""
     n = p**m
-    kernel = _NecklaceKernel(n, math.floor(max(rhs_by_w)))
-    dmins = [kernel.min_weight(dc_sample(n, trial_seed(seed, i)).a.bits)[0]
+    cap = math.floor(max(rhs_by_w))
+    dmins = [_min_codeword(n, dc_sample(n, trial_seed(seed, i)).a.bits,
+                           cap)[0]
              for i in range(trials)]
     runtime = time.monotonic() - t0
     reports = []
@@ -632,18 +642,16 @@ def _run_trial_block(args) -> list[tuple]:
     """Worker body: evaluate one contiguous block of trials."""
     (n, indices, master_seed, mode, search_weight, effort, exhaustive) = args
     out = []
-    kernel = _NecklaceKernel(n, None) if mode == "exact" else None
     for idx in indices:
         if exhaustive:
             a_bits, tseed = idx, 0
         else:
             tseed = trial_seed(master_seed, idx)
             a_bits = dc_sample(n, tseed).a.bits
+        code = DoubleCirculantCode(n, BitVec(a_bits, n))
         if mode == "exact":
-            d, _ = kernel.min_weight(a_bits)
-            found: int | None = int(d)
+            found: int | None = min_distance_exact(code).value
         else:
-            code = DoubleCirculantCode(n, BitVec(a_bits, n))
             res = low_weight_search(code, search_weight, effort=effort,
                                     seed=trial_seed(tseed, idx))
             found = res.value if res is not None else None
@@ -660,19 +668,20 @@ def experiment_distance(n: int | None = None, p: int | None = None,
                         ) -> tuple[list[ExperimentRecord], dict]:
     """Distance statistics for sampled (or all) circulant columns.
 
-    Exact mode sweeps rotation classes per code; search mode records the
-    best randomized witness at or below search_weight, which defaults to
-    the volume-argument guarantee.  Records are identical for any worker
-    count.  A max_seconds budget stops scheduling further trials and marks
-    the summary truncated; finished trials are kept."""
+    Exact mode records each code's exact minimum distance; search mode
+    records the best randomized witness at or below search_weight, which
+    defaults to the volume-argument guarantee.  Records are identical for
+    any worker count.  A max_seconds budget stops scheduling further
+    trials and marks the summary truncated; finished trials are kept."""
     if n is None:
         if p is None:
             raise ValueError("give n, or p (optionally with m)")
         n = p**m
     if mode not in ("exact", "search"):
         raise ValueError("mode must be 'exact' or 'search'")
-    if mode == "exact" and n > 28:
-        raise BudgetExceededError("exact mode sweeps 2^n/n classes; n <= 28")
+    if mode == "exact" and n > EXACT_MAX_N:
+        raise BudgetExceededError(
+            f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")
     if exhaustive and n > 16:
         raise BudgetExceededError("exhaustive runs need 2^n codes; n <= 16")
     gv = bounds.gv_guarantee(n)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,6 +122,15 @@ def test_verify_cx_table_and_exit():
     assert "verified-exact" in out
 
 
+def test_verify_triplesum_zero_weight_is_trivial():
+    # no nonzero codeword has weight 0, so every sampled column misses
+    code, out = run_cli(["verify", "triplesum", "--p", "5", "--m", "2",
+                         "--w", "0", "--trials", "50"])
+    assert code == 0
+    assert "level-pair-sum-bound" in out
+    assert "(50 samples, 0 hits)" in out
+
+
 def test_verify_json_omits_runtimes(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify", "kappa", "--json", str(out_path)])
@@ -198,10 +208,13 @@ def test_experiment_worker_count_leaves_no_trace(tmp_path):
 
 def test_experiment_budget_exit(tmp_path):
     out_csv = tmp_path / "runs.csv"
+    t0 = time.monotonic()
     code, out = run_cli([
         "experiment", "--n", "25", "--trials", "100000", "--seed", "0",
         "--max-seconds", "0.5", "--out", str(out_csv),
     ])
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 5 * 0.5 + 2
     assert code == 3
     assert json.loads(out)["truncated"] is True
     assert out_csv.exists()  # partial results still land

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvdc import spectrum
 from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         cyclic_contains, dc_contains, dc_sample,
                         divisor_codes, nonrepetition_codes)
-from gvdc.gf2poly import BudgetExceededError, ring_modulus
-from gvdc.spectrum import (WeightDistribution, _necklace_positions,
-                           dc_weight_distribution, low_weight_search,
-                           macwilliams_transform, min_distance_exact,
-                           weight_distribution)
+from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
+                          ring_mul_raw)
+from gvdc.spectrum import (WeightDistribution, _min_codeword,
+                           _necklace_positions, dc_weight_distribution,
+                           low_weight_search, macwilliams_transform,
+                           min_distance_exact, weight_distribution)
 from gvdc.verify import _census_all
 
 
@@ -140,12 +142,83 @@ def test_dc_weight_distribution_matches_enumeration():
         assert wd.total() == 1 << n
 
 
+def gray_min_distance(code: DoubleCirculantCode) -> int:
+    wd = dc_weight_distribution(code)
+    return next(i for i, c in enumerate(wd.counts[1:], start=1) if c)
+
+
+def assert_min_codeword(code: DoubleCirculantCode, d: int):
+    r = min_distance_exact(code)
+    assert r.value == d and r.exact
+    assert dc_contains(code, r.witness)
+    assert r.witness.weight() == d
+    for cap in range(2 * code.n + 2):
+        assert _min_codeword(code.n, code.a.bits, cap)[0] == min(d, cap + 1)
+
+
 def test_dc_weight_distribution_locates_min_distance():
     for seed in range(10):
         code = dc_sample(11, seed)
-        wd = dc_weight_distribution(code)
-        d = next(i for i, c in enumerate(wd.counts[1:], start=1) if c)
-        assert d == min_distance_exact(code).value
+        assert gray_min_distance(code) == min_distance_exact(code).value
+
+
+@pytest.mark.parametrize("k_bits_max", [spectrum._K_BITS_MAX, 0])
+def test_min_distance_every_column_small_n(monkeypatch, k_bits_max):
+    # every column of every length n <= 10, odd and even; with the
+    # annihilator limit at 0 every non-unit column runs the message side
+    # alone
+    monkeypatch.setattr(spectrum, "_K_BITS_MAX", k_bits_max)
+    for n in range(1, 11):
+        for a in range(1 << n):
+            code = DoubleCirculantCode(n, BitVec(a, n))
+            assert_min_codeword(code, gray_min_distance(code))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(11, 18), st.integers(0, 2**18 - 1), st.integers(0, 99))
+def test_min_distance_non_unit_columns(n, v, pick):
+    # a multiple of an irreducible factor of Z^m + 1, m the odd part of n,
+    # shares that factor with Z^n + 1 and so is never a unit
+    m = n
+    while m % 2 == 0:
+        m //= 2
+    factors = factorize(m).factors
+    a = ring_mul_raw(factors[pick % len(factors)], v % (1 << n), n)
+    code = DoubleCirculantCode(n, BitVec(a, n))
+    assert_min_codeword(code, gray_min_distance(code))
+
+
+def test_capped_search_decides_like_uncapped():
+    for n in (25, 27):
+        for seed in range(40):
+            a = dc_sample(n, seed).a.bits
+            if seed % 2:
+                a = ring_mul_raw(a, 0b11, n)  # a multiple of 1 + Z
+            d = _min_codeword(n, a)[0]
+            for cap in range(11):
+                capped = _min_codeword(n, a, cap)[0]
+                for w in range(cap + 1):
+                    assert (capped <= w) == (d <= w)
+
+
+def test_left_side_witnesses_are_codewords():
+    # a minimum met first on the left side has a lighter left half: any
+    # codeword with wt(x_R) <= wt(x_L) is met on the right side no later
+    left_found = 0
+    cases = [DoubleCirculantCode(5, BitVec(0b11111, 5))]
+    cases += [dc_sample(n, seed) for n in (9, 12, 14, 16)
+              for seed in range(40)]
+    for code in cases:
+        r = min_distance_exact(code)
+        left, right = r.witness.halves()
+        if left.weight() < right.weight():
+            left_found += 1
+            assert dc_contains(code, r.witness)
+            assert r.witness.weight() == r.value == gray_min_distance(code)
+    # the all-ones column at n = 5 has its minimum (0, 1 + Z) at left level 0
+    first = min_distance_exact(cases[0]).witness
+    assert first.halves()[0].bits == 0 and first.weight() == 2
+    assert left_found >= 20
 
 
 def test_low_weight_search_finds_generator_row():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -251,9 +252,12 @@ def test_experiment_guards():
 
 
 def test_experiment_truncation_budget():
+    t0 = time.monotonic()
     records, summary = experiment_distance(
         n=25, trials=100_000, seed=0, max_seconds=0.5
     )
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 5 * 0.5 + 2
     assert summary["truncated"]
     assert summary["completed"] < 100_000
     assert len(records) == summary["completed"]
