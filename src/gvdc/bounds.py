@@ -3,7 +3,10 @@ behind the improved existence bound for double circulant codes.
 
 Combinatorial quantities are exact integers or rationals.  Analytic
 quantities run through mpmath at 40 significant digits, well past the
-80-bit mantissa the numeric audits require.
+80-bit mantissa the numeric audits require.  The tail exponent
+log2(1 + (1 - 2 alpha)^t) - t D(alpha || iota) is written once, in an
+evaluator that fixes iota and computes its logarithms a single time; both
+the pointwise weight_tail_exponent and the maximum over alpha go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import log, mp, mpf
 
 mp.dps = 40
 
@@ -125,20 +128,7 @@ def _as_fraction(x) -> Fraction:
 def _entropy_mp(x: mpf) -> mpf:
     if x == 0 or x == 1:
         return mpf(0)
-    from mpmath import log
-
     return -x * log(x, 2) - (1 - x) * log(1 - x, 2)
-
-
-def _kl_mp(x: mpf, y: mpf) -> mpf:
-    from mpmath import log
-
-    t = mpf(0)
-    if x > 0:
-        t += x * log(x / y, 2)
-    if x < 1:
-        t += (1 - x) * log((1 - x) / (1 - y), 2)
-    return t
 
 
 def stirling_lower(n: int, w: int) -> mpf:
@@ -164,30 +154,45 @@ def repetition_bound(r: int, t: int, w: int) -> mpf:
     return sqrt(2 * r * t) * ((1 + abs(1 - 2 * om) ** t) / 2) ** r * math.comb(t * r, w)
 
 
+def _tail_exponent(i: mpf, t: int):
+    """Evaluator alpha -> log2(1 + (1 - 2 alpha)^t) - t D(alpha || i) for a
+    fixed mpf i, with ln(i), ln(1 - i) and 1/ln 2 computed once; alpha must
+    be an mpf in [0, i]."""
+    ln_i, ln_1i, inv_ln2 = log(i), log(1 - i), 1 / log(2)
+
+    def f(a: mpf) -> mpf:
+        # D(a || i) in nats, with 0 ln 0 = 0; a <= i <= 1/2 keeps 1 - a > 0
+        div = (1 - a) * (log(1 - a) - ln_1i)
+        if a > 0:
+            div += a * (log(a) - ln_i)
+        return (log(1 + abs(1 - 2 * a) ** t) - t * div) * inv_ln2
+
+    return f
+
+
 def weight_tail_exponent(alpha, iota, copies: int = CONSTANTS.copies) -> mpf:
     """log2(1 + (1 - 2 alpha)^t) - t D(alpha || iota) for alpha <= iota <= 1/2."""
     a, i = mpf(str(alpha)), mpf(str(iota))
     if not 0 <= a <= i or i > mpf("0.5"):
         raise ValueError("need 0 <= alpha <= iota <= 1/2")
-    from mpmath import log
-
-    t = copies
-    return log(1 + abs(1 - 2 * a) ** t, 2) - t * _kl_mp(a, i)
+    return _tail_exponent(i, copies)(a)
 
 
 def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
                              grid: int = 10_000, detail: bool = False):
     """Maximum of weight_tail_exponent over alpha in [0, iota]: dense grid
-    scan then ternary refinement to width 1e-9 around the best grid point.
+    scan then ternary refinement to width 1e-9 around the best grid point,
+    every point through one evaluator built for this iota.
     With detail=True returns (value, grid max, refinement gap)."""
     i = mpf(str(iota))
     if not 0 < i <= mpf("0.5"):
         raise ValueError("need 0 < iota <= 1/2")
+    f = _tail_exponent(i, copies)
     best = mpf("-inf")
     besta = mpf(0)
     for k in range(grid + 1):
         a = i * k / grid
-        v = weight_tail_exponent(a, i, copies)
+        v = f(a)
         if v > best:
             best, besta = v, a
     lo = max(mpf(0), besta - i / grid)
@@ -195,11 +200,11 @@ def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
     while hi - lo > mpf("1e-9"):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if weight_tail_exponent(m1, i, copies) < weight_tail_exponent(m2, i, copies):
+        if f(m1) < f(m2):
             lo = m1
         else:
             hi = m2
-    refined = weight_tail_exponent((lo + hi) / 2, i, copies)
+    refined = f((lo + hi) / 2)
     value = max(best, refined)
     if detail:
         return value, best, refined - best
@@ -212,8 +217,6 @@ def overhead_exponent_cap(p: int) -> mpf:
     for block prime p: 3/(2(p-1)) + 2 log2(p)/(p-1) + 2/p^(1/3)."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    from mpmath import log
-
     p_ = mpf(p)
     return 3 / (2 * (p_ - 1)) + 2 * log(p_, 2) / (p_ - 1) + 2 / p_ ** (mpf(1) / 3)
 
@@ -252,8 +255,6 @@ def enumeration_margin(n0: int, omega_floor=None, kappa=None,
     kap = mpf(str(consts.kappa if kappa is None else kappa))
     if not 0 < kap < K < mpf("0.25"):
         raise ValueError("need 0 < kappa < K < 1/4")
-    from mpmath import log
-
     return (2 * _entropy_mp(K) - _entropy_mp(kap) - _entropy_mp(2 * K - kap)
             - mpf(5) / 2 * log(n0, 2) / n0)
 

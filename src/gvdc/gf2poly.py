@@ -134,9 +134,13 @@ def ring_modulus(n: int) -> int:
 
 def ring_mul_raw(a: int, b: int, n: int) -> int:
     """Product of two residues mod Z^n + 1 (each below 2^n) via
-    rotate-and-xor: every set bit i of a adds b rotated by i."""
+    rotate-and-xor: every set bit i of a adds b rotated by i.
+
+    b may also be a numpy integer array of residues; the result is then
+    the array of products a * b[j], of the same shape and dtype (zeros when
+    a = 0)."""
     mask = (1 << n) - 1
-    r = 0
+    r = b & 0
     for i in range(n):
         if (a >> i) & 1:
             r ^= ((b << i) | (b >> (n - i))) & mask if i else b

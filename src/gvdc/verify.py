@@ -26,7 +26,7 @@ from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
                     nonrepetition_codes)
-from .gf2poly import BudgetExceededError, mod_raw, ring_modulus, ring_mul_raw
+from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
 from .spectrum import (EXACT_MAX_N, _gray_weights, _min_codeword,
                        low_weight_search, min_distance_exact,
@@ -118,34 +118,44 @@ def verify_lemma_cx(n: int) -> LemmaReport:
     """Exhaustive check that, over a uniform circulant column, the product
     x_R * a is uniform on the cyclic code spanned by x_R, and that the
     membership probability formula matches the observed counts for every
-    word of length 2n."""
+    word of length 2n.
+
+    For each x_R the 2^n products x_R * a come from one call of the ring
+    multiply on the array of every a, and are tallied by value.  Since
+    |C(x_R)| divides 2^n, Pr[x_L] = count / 2^n equals 1/|C(x_R)| exactly
+    when the count equals the multiplicity 2^n / |C(x_R)|, so the formula
+    is checked as that integer equality.  Membership x_L = 0 mod g comes
+    from the scalar remainder, once per distinct generator g, independent
+    of the multiply.  A violation reports the first counterexample in x_R
+    then x_L order."""
     if n % 2 == 0 or n > 10:
         raise ValueError("n must be odd and <= 10")
     t0 = time.monotonic()
     size_n = 1 << n
+    columns = np.arange(size_n)
+    members: dict[int, np.ndarray] = {}
     for xr in range(size_n):
-        c = cyclic_from_vector(BitVec(xr, n)) if xr else CyclicCode(n, ring_modulus(n))
-        counts: dict[int, int] = {}
-        for a in range(size_n):
-            prod = ring_mul_raw(xr, a, n)
-            counts[prod] = counts.get(prod, 0) + 1
+        c = cyclic_from_vector(BitVec(xr, n))
+        counts = np.bincount(ring_mul_raw(xr, columns, n), minlength=size_n)
         mult = size_n // c.size()
-        uniform = len(counts) == c.size() and all(v == mult for v in counts.values())
-        if not uniform:
+        hit = counts[counts > 0]
+        if not (len(hit) == c.size() and (hit == mult).all()):
             return LemmaReport(
                 "membership-uniformity", {"n": n}, VIOLATED,
                 f"support/multiplicity for x_R={xr:#x}", f"uniform {mult} on code",
                 counterexample=f"x_R={xr:#x}", runtime=time.monotonic() - t0)
-        for xl in range(size_n):
-            expected = (Fraction(1, c.size())
-                        if mod_raw(xl, c.g) == 0 else Fraction(0))
-            observed = Fraction(counts.get(xl, 0), size_n)
-            if expected != observed:
-                return LemmaReport(
-                    "membership-uniformity", {"n": n}, VIOLATED,
-                    str(observed), str(expected),
-                    counterexample=f"x_L={xl:#x} x_R={xr:#x}",
-                    runtime=time.monotonic() - t0)
+        if c.g not in members:
+            members[c.g] = np.array([mod_raw(xl, c.g) == 0
+                                     for xl in range(size_n)])
+        bad = np.flatnonzero(counts != np.where(members[c.g], mult, 0))
+        if len(bad):
+            xl = int(bad[0])
+            expected = Fraction(1, c.size()) if members[c.g][xl] else Fraction(0)
+            return LemmaReport(
+                "membership-uniformity", {"n": n}, VIOLATED,
+                str(Fraction(int(counts[xl]), size_n)), str(expected),
+                counterexample=f"x_L={xl:#x} x_R={xr:#x}",
+                runtime=time.monotonic() - t0)
     return LemmaReport(
         "membership-uniformity", {"n": n}, VERIFIED_EXACT,
         f"all {size_n}^2 pairs", "uniform and formula-exact",
@@ -639,10 +649,15 @@ def _resolve_threshold(n: int,
 
 
 def _run_trial_block(args) -> list[tuple]:
-    """Worker body: evaluate one contiguous block of trials."""
-    (n, indices, master_seed, mode, search_weight, effort, exhaustive) = args
+    """Worker body: evaluate one contiguous block of trials, stopping
+    before the first trial that would start past the deadline (a
+    time.monotonic() value, or None for no deadline)."""
+    (n, indices, master_seed, mode, search_weight, effort, exhaustive,
+     deadline) = args
     out = []
     for idx in indices:
+        if deadline is not None and time.monotonic() > deadline:
+            break
         if exhaustive:
             a_bits, tseed = idx, 0
         else:
@@ -690,26 +705,27 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         search_weight = gv
     count = (1 << n) if exhaustive else trials
     in_process = workers <= 1 or count < 4
-    t0 = time.monotonic()
     # one block per worker; under a budget, blocks of at most 64 trials,
-    # and the deadline is checked before each block is run or collected
+    # each of which stops at the deadline between two trials.  Blocks are
+    # collected in order up to the first short one, so the records are
+    # always a prefix of the trials.
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     chunk = -(-count // (1 if in_process else workers))
     if max_seconds is not None:
         chunk = min(chunk, 64)
     jobs = [(n, range(i, min(i + chunk, count)), seed, mode, search_weight,
-             effort, exhaustive) for i in range(0, count, max(1, chunk))]
+             effort, exhaustive, deadline)
+            for i in range(0, count, max(1, chunk))]
     truncated = False
     blocks = []
     with (nullcontext() if in_process
           else ProcessPoolExecutor(max_workers=workers)) as pool:
-        pending = (jobs if pool is None
-                   else [pool.submit(_run_trial_block, job) for job in jobs])
-        for job in pending:
-            if max_seconds is not None and time.monotonic() - t0 > max_seconds:
+        results = (map if pool is None else pool.map)(_run_trial_block, jobs)
+        for job, block in zip(jobs, results):
+            blocks.append(block)
+            if len(block) < len(job[1]):
                 truncated = True
                 break
-            blocks.append(_run_trial_block(job) if pool is None
-                          else job.result())
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     rows = sorted(r for block in blocks for r in block)

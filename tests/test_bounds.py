@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import log, mpf, nstr
 
-from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp, _kl_mp,
+from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp,
                          ball_nonzero, ball_rate_ok, class_sum_bound,
                          enumeration_margin, gv_guarantee,
                          level_series_bound, main_threshold,
@@ -83,8 +83,10 @@ def test_entropy_and_kl():
     assert abs(_entropy_mp(mpf("0.1")) - 0.4689955935892812) < 1e-15
     symmetric = _entropy_mp(mpf("0.11")) - _entropy_mp(mpf("0.89"))
     assert abs(symmetric) < mpf("1e-35")
-    assert _kl_mp(mpf("0.5"), mpf("0.5")) == 0
-    assert _kl_mp(mpf("0.3"), mpf("0.5")) > 0
+    # D(a || i) = 0 at a = i and > 0 elsewhere, read off the tail exponent
+    # log2(1 + (1 - 2a)^t) - t D(a || i)
+    assert weight_tail_exponent(0.5, 0.5) == 0
+    assert weight_tail_exponent(0.3, 0.5) < log(1 + mpf("0.4") ** 14, 2)
 
 
 def test_stirling_lower_bounds_binomials():
@@ -108,11 +110,26 @@ def test_weight_tail_exponent_cap():
     assert float(full) <= CONSTANTS.f_cap
     assert 0 <= float(gap) < 1e-7
     assert abs(float(full) - 0.23139563672103543) < 1e-12
+    # the digits `verify kappa` prints
+    assert nstr(full, 10) == "0.2313956367"
+    assert nstr(gap, 3) == "6.19e-10"
     # single-point evaluations stay below the maximized value
     for alpha in (0.0, 0.01, 0.03, 0.05, 0.07):
         assert weight_tail_exponent(alpha, CONSTANTS.kappa) <= full + 1e-30
     with pytest.raises(ValueError):
         weight_tail_exponent(0.2, CONSTANTS.kappa)  # alpha beyond iota
+
+
+def test_weight_tail_exponent_matches_textbook_formula():
+    t, iota = CONSTANTS.copies, mpf("0.07")
+    for alpha in ("0", "0.01", "0.0454", "0.07"):
+        a = mpf(alpha)
+        kl = (1 - a) * log((1 - a) / (1 - iota), 2)
+        if a > 0:
+            kl += a * log(a / iota, 2)
+        textbook = log(1 + (1 - 2 * a) ** t, 2) - t * kl
+        got = weight_tail_exponent(alpha, CONSTANTS.kappa)
+        assert abs(got - textbook) < mpf("1e-35")
 
 
 def test_overhead_exponent_cap_first_primes():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,16 @@ def test_mul_mod_against_schoolbook_oracle():
         got = poly_mul_mod(Poly(a, n), Poly(b, n)).bits
         assert got == ring_mul_raw(a, b, n)
         assert got == mod_raw(mul_raw(a, b), ring_modulus(n))
+
+
+def test_ring_mul_raw_on_arrays():
+    # an array b gives the array of scalar products, zeros for x = 0 too
+    for n in (3, 5, 7, 8):
+        b = np.arange(1 << n)
+        for x in range(1 << n):
+            got = ring_mul_raw(x, b, n)
+            assert isinstance(got, np.ndarray) and got.shape == b.shape
+            assert got.tolist() == [ring_mul_raw(x, a, n) for a in range(1 << n)]
 
 
 def test_is_irreducible_known_cases():

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from gvdc.codes import BitVec, DoubleCirculantCode, dc_contains, dc_sample
+from gvdc import verify
+from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
+                        dc_contains, dc_sample)
+from gvdc.gf2poly import mod_raw, ring_mul_raw
 from gvdc.spectrum import min_distance_exact
 from gvdc.verify import (INFORMATIVE, VERIFIED_EXACT, VERIFIED_NUMERIC,
                          VIOLATED, LemmaReport, dc_distance_table,
@@ -57,6 +60,52 @@ def test_membership_uniformity_sweep():
         assert r.status == VERIFIED_EXACT
         assert r.lemma == "membership-uniformity"
         assert r.counterexample is None
+
+
+def _cx_reference(n):
+    """(lhs, rhs, counterexample) of the first membership-uniformity
+    failure, by one scalar product and one Fraction compare at a time,
+    through the multiply and remainder verify uses; None if none fails."""
+    size = 1 << n
+    for xr in range(size):
+        c = cyclic_from_vector(BitVec(xr, n))
+        counts = {}
+        for a in range(size):
+            prod = verify.ring_mul_raw(xr, a, n)
+            counts[prod] = counts.get(prod, 0) + 1
+        mult = size // c.size()
+        if len(counts) != c.size() or any(v != mult for v in counts.values()):
+            return (f"support/multiplicity for x_R={xr:#x}",
+                    f"uniform {mult} on code", f"x_R={xr:#x}")
+        for xl in range(size):
+            expected = (Fraction(1, c.size())
+                        if verify.mod_raw(xl, c.g) == 0 else Fraction(0))
+            observed = Fraction(counts.get(xl, 0), size)
+            if expected != observed:
+                return str(observed), str(expected), f"x_L={xl:#x} x_R={xr:#x}"
+    return None
+
+
+def test_cx_catches_a_corrupted_product(monkeypatch):
+    assert _cx_reference(5) is None
+    # flip one bit of the product x_R * a at x_R = 3, a = 5; works on the
+    # array of every a as well as on one a
+    monkeypatch.setattr(verify, "ring_mul_raw",
+                        lambda x, b, n: ring_mul_raw(x, b, n)
+                        ^ ((x == 3) & (b == 5)))
+    r = verify_lemma_cx(5)
+    assert r.status == VIOLATED and r.counterexample == "x_R=0x3"
+    assert (r.lhs, r.rhs, r.counterexample) == _cx_reference(5)
+
+
+def test_cx_catches_a_corrupted_membership(monkeypatch):
+    # claim that x_L = Z + Z^2 and x_L = Z^3 + Z^4 lie in no code; the
+    # first of the two is reported
+    monkeypatch.setattr(verify, "mod_raw",
+                        lambda a, b: mod_raw(a, b) or a in (0b110, 0b11000))
+    r = verify_lemma_cx(5)
+    assert r.status == VIOLATED and r.counterexample == "x_L=0x6 x_R=0x1"
+    assert (r.lhs, r.rhs, r.counterexample) == _cx_reference(5)
 
 
 def test_expected_count_small_values():
@@ -264,6 +313,22 @@ def test_experiment_truncation_budget():
     # completed prefix is still the deterministic prefix
     if records:
         assert records[0].seed == trial_seed(0, 0)
+
+
+def test_experiment_search_truncation_budget():
+    # a search trial at n = 61 costs about 0.1 s, so the deadline has to
+    # be checked between trials, not between 64-trial blocks
+    t0 = time.monotonic()
+    records, summary = experiment_distance(
+        n=61, mode="search", trials=1000, seed=0, max_seconds=0.5
+    )
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 5 * 0.5 + 2
+    assert summary["truncated"]
+    assert len(records) == summary["completed"] < 1000
+    full, _ = experiment_distance(n=61, mode="search", seed=0,
+                                  trials=len(records))
+    assert records == full
 
 
 def test_experiment_pool_budget_keeps_prefix():
