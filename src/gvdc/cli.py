@@ -311,6 +311,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mindist(args) -> int:
+    if args.effort < 1:
+        raise UsageError("--effort must be positive")
     a = BitVec(_parse_column(args.a, args.n), args.n)
     code = DoubleCirculantCode(args.n, a)
     if args.search:
@@ -515,6 +517,8 @@ def cmd_experiment(args) -> int:
                 raise UsageError(f"GVDC_WORKERS must be an integer, got {env!r}")
     if settings.get("n") is None and settings.get("p") is None:
         raise UsageError("give --n, or --p (optionally with --m)")
+    if settings.get("effort", 200) < 1:
+        raise UsageError("effort must be positive")
     records, summary = audits.experiment_distance(
         n=settings.get("n"), p=settings.get("p"), m=settings.get("m", 1),
         trials=settings.get("trials", 1000), seed=settings.get("seed", 0),

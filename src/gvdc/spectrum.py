@@ -135,7 +135,8 @@ EXACT_MAX_N = 28
 # from the message side alone
 _K_BITS_MAX = 16
 
-# entries per (rows x annihilator) block in a left-side level
+# entries per block: (rows x annihilator) in a left-side level of
+# _min_codeword, (rounds x words x n) in low_weight_search
 _BLOCK = 1 << 20
 
 
@@ -289,13 +290,67 @@ def dc_weight_distribution(code: DoubleCirculantCode,
     return WeightDistribution(2 * n, tuple(counts))
 
 
+def _lightest_reduced_row(gen: np.ndarray,
+                          perm: np.ndarray) -> tuple[int, int]:
+    """(weight, word) of the first lightest row after Gauss-Jordan
+    elimination of one generator in many rounds at once.
+
+    gen is (W, n): the n generator rows packed into W uint64 words, bit c
+    of a row in bit c % 64 of word c // 64.  perm is (R, 2n): each
+    round's column order.  Each round walks its columns in that order; at
+    a column where one of its rows that is not yet a pivot row has a 1,
+    the first such row becomes the pivot row and is xored into every
+    other row with a 1 there.  Rows are ranked round by round, and within
+    a round in the order their pivots were found; ties go to the first."""
+    n = gen.shape[1]
+    rounds = perm.shape[0]
+    rows = np.repeat(gen[None], rounds, axis=0)
+    free = np.ones((rounds, n), dtype=bool)
+    order = np.empty((rounds, n), dtype=np.intp)
+    rank = np.zeros(rounds, dtype=np.intp)
+    every = np.arange(rounds)
+    for c in perm.T:
+        hit = rows[every, c >> 6]
+        hit >>= (c & 63)[:, None]
+        hit &= 1
+        hit = hit.astype(bool)
+        cand = hit & free
+        piv = cand.argmax(axis=1)
+        got = cand[every, piv]
+        # a round without a pivot xors zero
+        prow = rows[every, :, piv] & -got.astype(np.uint64)[:, None]
+        hit[every, piv] = False
+        rows ^= prow[:, :, None] & -hit.astype(np.uint64)[:, None, :]
+        done = every[got]
+        free[done, piv[done]] = False
+        order[done, rank[done]] = piv[done]
+        rank += got
+        if rank.min() == n:
+            break
+    wts = np.take_along_axis(np.bitwise_count(rows).sum(axis=1), order,
+                             axis=1)
+    r, j = divmod(int(wts.argmin()), n)
+    row = rows[r, :, order[r, j]]
+    return int(wts[r, j]), sum(int(v) << (64 * k) for k, v in enumerate(row))
+
+
 def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
                       seed: int = 0) -> DistanceResult | None:
     """Randomized information-set search for a codeword of weight <= w.
 
-    Rounds of column permutation plus elimination; round zero keeps the
-    identity permutation, so single-bit messages are always examined.
-    Finding nothing proves nothing.  Deterministic for a fixed seed."""
+    The generator rows, the codewords of the single-bit messages, are
+    examined first.  Then each of max(1, effort) rounds draws a column
+    permutation and eliminates the generator on it; the reduced rows are
+    examined in the order their pivots were found.  Ties go to the first
+    strict improvement: generator rows, then rounds in order.  Finding
+    nothing proves nothing.  Deterministic for a fixed seed.
+
+    Rounds are eliminated together, in blocks of at most _BLOCK
+    (rounds x words x n) entries, so memory stays flat in effort.  This
+    cannot change a value or a witness.  A round's pivots are the first n
+    columns of its permutation that are independent on the code, whatever
+    row each pivot is taken from, and after elimination the row of pivot
+    p is the unique codeword with a 1 at p and 0 at every other pivot."""
     n = code.n
     rng = random.Random(seed)
     rows0 = code.generator_rows()
@@ -308,31 +363,21 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
         if 0 < wt < best_wt:
             best_wt = wt
             best = r
+    nw = (2 * n + 63) // 64
+    gen = np.array([[(r >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for r in rows0]
+                    for k in range(nw)], dtype=np.uint64)
     cols = list(range(2 * n))
-    for _ in range(max(1, effort)):
-        perm = rng.sample(cols, len(cols))
-        rows = list(rows0)
-        rank_rows: list[tuple[int, int]] = []  # (pivot column bit, row)
-        for c in perm:
-            bit = 1 << c
-            pivot = None
-            for i, r in enumerate(rows):
-                if r & bit:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            prow = rows.pop(pivot)
-            rows = [r ^ prow if r & bit else r for r in rows]
-            rank_rows = [(b, r ^ prow if r & bit else r) for b, r in rank_rows]
-            rank_rows.append((bit, prow))
-            if not rows:
-                break
-        for _, r in rank_rows:
-            wt = r.bit_count()
-            if 0 < wt < best_wt:
-                best_wt = wt
-                best = r
+    rounds = max(1, effort)
+    per_block = max(1, _BLOCK // (n * nw))
+    for start in range(0, rounds, per_block):
+        # the smallest dtype that holds a column keeps the block small
+        perm = np.empty((min(per_block, rounds - start), 2 * n),
+                        dtype=np.min_scalar_type(2 * n - 1))
+        for row in perm:
+            row[:] = rng.sample(cols, len(cols))
+        wt, word = _lightest_reduced_row(gen, perm)
+        if wt < best_wt:
+            best_wt, best = wt, word
     if best is not None and best_wt <= w:
         return DistanceResult(best_wt, BitVec(best, 2 * n), False)
     return None

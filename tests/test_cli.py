@@ -185,6 +185,28 @@ def test_experiment_config_sections_and_unknown_keys(tmp_path):
     assert code == 1
 
 
+def test_effort_must_be_positive(tmp_path):
+    search = ["mindist", "--n", "13", "--a", "0x1b3", "--search"]
+    for effort in ("0", "-2"):
+        code, out = run_cli(search + ["--effort", effort])
+        assert code == 1 and out == ""
+    code, out = run_cli(search + ["--effort", "1", "--w", "26"])
+    assert code == 0 and out.startswith("d<=")
+
+    out_csv = tmp_path / "runs.csv"
+    base = ["experiment", "--n", "13", "--mode", "search", "--trials", "2",
+            "--out", str(out_csv)]
+    code, _ = run_cli(base + ["--effort", "0"])
+    assert code == 1 and not out_csv.exists()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("effort = 0\n")
+    code, _ = run_cli(base + ["--config", str(cfg)])
+    assert code == 1 and not out_csv.exists()
+    # the flag wins over the config key
+    code, _ = run_cli(base + ["--config", str(cfg), "--effort", "3"])
+    assert code == 0 and out_csv.exists()
+
+
 def test_experiment_worker_count_leaves_no_trace(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

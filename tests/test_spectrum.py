@@ -244,6 +244,70 @@ def test_low_weight_search_agrees_with_exact():
     assert hits >= 25  # randomized search may miss rarely, not usually
 
 
+def reference_low_weight_search(code, w, effort=200, seed=0):
+    """The scalar search, one round and one pivot at a time."""
+    n = code.n
+    rng = random.Random(seed)
+    rows0 = code.generator_rows()
+    best = None
+    best_wt = 2 * n + 1
+    for r in rows0:
+        wt = r.bit_count()
+        if 0 < wt < best_wt:
+            best_wt = wt
+            best = r
+    cols = list(range(2 * n))
+    for _ in range(max(1, effort)):
+        perm = rng.sample(cols, len(cols))
+        rows = list(rows0)
+        rank_rows = []  # (pivot column bit, row)
+        for c in perm:
+            bit = 1 << c
+            pivot = None
+            for i, r in enumerate(rows):
+                if r & bit:
+                    pivot = i
+                    break
+            if pivot is None:
+                continue
+            prow = rows.pop(pivot)
+            rows = [r ^ prow if r & bit else r for r in rows]
+            rank_rows = [(b, r ^ prow if r & bit else r) for b, r in rank_rows]
+            rank_rows.append((bit, prow))
+            if not rows:
+                break
+        for _, r in rank_rows:
+            wt = r.bit_count()
+            if 0 < wt < best_wt:
+                best_wt = wt
+                best = r
+    if best is not None and best_wt <= w:
+        return spectrum.DistanceResult(best_wt, BitVec(best, 2 * n), False)
+    return None
+
+
+def test_low_weight_search_matches_scalar_reference(monkeypatch):
+    rng = random.Random(11)
+    for k, n in enumerate((1, 2, 5, 13, 31, 32, 33, 61, 64, 65, 61, 13)):
+        words = (2 * n + 63) // 64
+        a = rng.getrandbits(n)
+        # even weight, every other time, means a multiple of 1 + Z
+        a ^= (a.bit_count() + k) % 2
+        code = DoubleCirculantCode(n, BitVec(a, n))
+        for effort in (0, 1, 3, 200):
+            seed = rng.getrandbits(16)
+            ref = reference_low_weight_search(code, 2 * n, effort, seed)
+            got = low_weight_search(code, 2 * n, effort, seed)
+            assert got == ref
+            assert dc_contains(code, got.witness)
+            assert low_weight_search(code, ref.value - 1, effort,
+                                     seed) is None
+            # seven rounds to a block: one call spans several blocks
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "_BLOCK", 7 * n * words)
+                assert low_weight_search(code, 2 * n, effort, seed) == ref
+
+
 def test_low_weight_search_none_when_impossible():
     code = DoubleCirculantCode(3, BitVec(0b011, 3))
     # minimum distance is 3 here; weight-2 words cannot exist
