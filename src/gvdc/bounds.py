@@ -247,12 +247,11 @@ def level_series_bound(p: int, m: int) -> mpf:
     return total
 
 
-def enumeration_margin(n0: int, omega_floor=None, kappa=None,
-                       consts: ProofConstants = CONSTANTS) -> mpf:
+def enumeration_margin(n0: int, consts: ProofConstants = CONSTANTS) -> mpf:
     """2h(K) - h(kappa) - h(2K - kappa) - (5/2) log2(n0)/n0, the exponent
-    slack of the split tail count at block size n0."""
-    K = mpf(str(consts.omega_floor if omega_floor is None else omega_floor))
-    kap = mpf(str(consts.kappa if kappa is None else kappa))
+    slack of the split tail count at block size n0, K = consts.omega_floor."""
+    K = mpf(str(consts.omega_floor))
+    kap = mpf(str(consts.kappa))
     if not 0 < kap < K < mpf("0.25"):
         raise ValueError("need 0 < kappa < K < 1/4")
     return (2 * _entropy_mp(K) - _entropy_mp(kap) - _entropy_mp(2 * K - kap)
@@ -270,9 +269,9 @@ def simple_prob_bound(p: int, w) -> Fraction:
     return Fraction(2 * ball_nonzero(2 * p, w), p << p)
 
 
-def ball_rate_ok(n: int, omega_floor=None,
-                 consts: ProofConstants = CONSTANTS) -> bool:
-    """Whether |B_2n(2 K n)| <= 2^n, the side condition of the pair-sum cap."""
-    K = _as_fraction(consts.omega_floor if omega_floor is None else omega_floor)
+def ball_rate_ok(n: int, consts: ProofConstants = CONSTANTS) -> bool:
+    """Whether |B_2n(2 K n)| <= 2^n, K = consts.omega_floor, the side
+    condition of the pair-sum cap."""
+    K = _as_fraction(consts.omega_floor)
     w = math.floor(2 * K * n)
     return volume(2 * n, w) <= 1 << n

@@ -801,7 +801,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--w", type=float, required=True)
     sp.add_argument("--bruteforce", action="store_true",
-                    help="cross-check against full enumeration (n <= 14)")
+                    help="cross-check against full enumeration "
+                    f"(n <= {audits.BRUTEFORCE_MAX_N})")
     sp.add_argument("--orbit", action="store_true",
                     help="also print the orbit-weighted bound")
     sp.set_defaults(func=cmd_expected)

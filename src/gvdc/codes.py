@@ -1,5 +1,5 @@
 """Double circulant codes of length 2n, the cyclic codes generated by
-single vectors, and the simultaneous-shift group action on codewords.
+single vectors, and the membership probability of a word.
 
 A code here is the [2n, n] code with parity check [I | A], A the circulant
 whose (i, j) entry is a_((i - j) mod n).  A word x = (x_L, x_R) belongs to
@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2poly import (Poly, degree, divmod_raw, factorize, gcd_raw, mod_raw,
-                      mul_raw, poly_mul_mod, repetition_poly, ring_modulus)
+from .gf2poly import (degree, divmod_raw, factorize, gcd_raw, mod_raw, mul_raw,
+                      repetition_poly, ring_modulus, ring_mul_raw)
 from .numbertheory import _smallest_prime_factor
 
 
@@ -33,16 +33,6 @@ class BitVec:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.bits ^ other.bits, self.n)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def halves(self) -> tuple["BitVec", "BitVec"]:
         if self.n % 2:
             raise ValueError("halves of an odd-length vector")
@@ -52,14 +42,6 @@ class BitVec:
 
 def bitvec_to_str(v: BitVec) -> str:
     return f"{v.n}:{hex(v.bits)}"
-
-
-def bitvec_from_str(s: str) -> BitVec:
-    try:
-        n, bits = s.strip().split(":")
-        return BitVec(int(bits, 16), int(n))
-    except (ValueError, IndexError) as e:
-        raise ValueError(f"bad vector serialization: {s!r}") from e
 
 
 def _rotl(bits: int, j: int, n: int) -> int:
@@ -84,28 +66,6 @@ class DoubleCirculantCode:
     def serialize(self) -> str:
         return f"n={self.n};a={hex(self.a.bits)}"
 
-    @staticmethod
-    def deserialize(s: str) -> "DoubleCirculantCode":
-        try:
-            left, right = s.strip().split(";")
-            n = int(left.split("=")[1])
-            a = int(right.split("=")[1], 16)
-        except (ValueError, IndexError) as e:
-            raise ValueError(f"bad code serialization: {s!r}") from e
-        return DoubleCirculantCode(n, BitVec(a, n))
-
-    def parity_rows(self) -> list[int]:
-        """Rows of [I | A] packed as 2n-bit ints (left block low bits).
-
-        Row i has right-block bit j exactly when a_((i - j) mod n) = 1, so
-        the block is the i-rotation of the index-reversed column."""
-        n = self.n
-        rev = 0
-        for k in range(n):
-            if (self.a.bits >> k) & 1:
-                rev |= 1 << ((n - k) % n)
-        return [(1 << i) | (_rotl(rev, i, n) << n) for i in range(n)]
-
     def generator_rows(self) -> list[int]:
         """Rows (Z^i a | e_i); the codewords with single-bit right half."""
         rows = []
@@ -127,38 +87,7 @@ def dc_contains(code: DoubleCirculantCode, x: BitVec) -> bool:
     if x.n != 2 * code.n:
         raise ValueError("word length must be 2n")
     left, right = x.halves()
-    prod = poly_mul_mod(Poly(right.bits, code.n), Poly(code.a.bits, code.n))
-    return prod.bits == left.bits
-
-
-def shift_action(j: int, x: BitVec) -> BitVec:
-    """Rotate both halves of x by j positions (coordinate i gains i+j)."""
-    if x.n % 2:
-        raise ValueError("shift action needs even length")
-    n = x.n // 2
-    left, right = x.halves()
-    return BitVec(_rotl(left.bits, j, n) | (_rotl(right.bits, j, n) << n), x.n)
-
-
-def orbit_length(x: BitVec) -> int:
-    """Smallest divisor d of n with d.x = x under the half-pair rotation."""
-    n = x.n // 2
-    for d in range(1, n + 1):
-        if n % d == 0 and shift_action(d, x) == x:
-            return d
-    raise AssertionError("orbit of x did not close")
-
-
-def canonical_rep(x: BitVec) -> BitVec:
-    """Least packed value over the rotation orbit of x; constant on orbits."""
-    best = x.bits
-    n = x.n // 2
-    cur = x
-    for _ in range(n - 1):
-        cur = shift_action(1, cur)
-        if cur.bits < best:
-            best = cur.bits
-    return BitVec(best, x.n)
+    return ring_mul_raw(right.bits, code.a.bits, code.n) == left.bits
 
 
 @dataclass(frozen=True)
@@ -196,9 +125,6 @@ class CyclicCode:
             if (h >> i) & 1:
                 rev |= 1 << (d - i)
         return CyclicCode(self.n, rev)
-
-    def serialize(self) -> str:
-        return f"n={self.n};g={hex(self.g)}"
 
 
 def cyclic_from_vector(u: BitVec) -> CyclicCode:
@@ -248,7 +174,7 @@ def nonrepetition_codes(n: int) -> list[CyclicCode]:
         t //= p
     if t != 1:
         raise ValueError("n must be a prime power")
-    marker = repetition_poly(n, p).bits
+    marker = repetition_poly(n, p)
     keep = []
     for code in divisor_codes(n):
         if mod_raw(code.g, marker) != 0:

@@ -115,17 +115,6 @@ class Poly:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError("coefficients out of range for ring length")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if self.n != other.n:
-            raise ValueError("ring length mismatch")
-        return Poly(self.bits ^ other.bits, self.n)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return poly_mul_mod(self, other)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
 
 def ring_modulus(n: int) -> int:
     """The raw polynomial Z^n + 1."""
@@ -156,16 +145,6 @@ def poly_mul_mod(u: Poly, v: Poly) -> Poly:
 
 def poly_to_str(p: Poly) -> str:
     return f"n={p.n};coeffs={hex(p.bits)}"
-
-
-def poly_from_str(s: str) -> Poly:
-    try:
-        left, right = s.strip().split(";")
-        n = int(left.split("=")[1])
-        bits = int(right.split("=")[1], 16)
-    except (ValueError, IndexError) as e:
-        raise ValueError(f"bad polynomial serialization: {s!r}") from e
-    return Poly(bits, n)
 
 
 def cyclotomic_cosets(n: int) -> list[list[int]]:
@@ -232,16 +211,22 @@ def _equal_degree_split(g: int, d: int, count: int, rng: random.Random) -> list[
     return done
 
 
-def factorize(n: int, limit: int = 4096) -> Factorization:
-    """Factor Z^n + 1 into irreducibles.  Odd n only; refuses n > limit.
+# largest n whose Z^n + 1 factorize accepts
+FACTORIZE_MAX_N = 4096
+
+
+def factorize(n: int) -> Factorization:
+    """Factor Z^n + 1 into irreducibles.  Odd n only; refuses n above
+    FACTORIZE_MAX_N.
 
     Products of all factors of degree dividing d are Z^gcd(n, 2^d - 1) + 1,
     so the distinct-degree stage is plain integer arithmetic; same-degree
     products are then split by seeded trace splitting."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
-    if n > limit:
-        raise BudgetExceededError(f"factorize limited to n <= {limit}")
+    if n > FACTORIZE_MAX_N:
+        raise BudgetExceededError(
+            f"factorize limited to n <= {FACTORIZE_MAX_N}")
     cosets = cyclotomic_cosets(n)
     count_by_degree: dict[int, int] = {}
     for c in cosets:
@@ -268,7 +253,7 @@ def factorize(n: int, limit: int = 4096) -> Factorization:
     return fac
 
 
-def repetition_poly(n: int, p: int) -> Poly:
+def repetition_poly(n: int, p: int) -> int:
     """1 + Z^(n/p) + Z^(2n/p) + ... + Z^((p-1)n/p), the p-block marker."""
     if n % p != 0:
         raise ValueError("p must divide n")
@@ -276,7 +261,7 @@ def repetition_poly(n: int, p: int) -> Poly:
     bits = 0
     for i in range(p):
         bits |= 1 << (i * step)
-    return Poly(bits, n)
+    return bits
 
 
 def kasami_factors(p: int, m: int) -> Factorization:

@@ -52,7 +52,12 @@ def _gray_weights(basis: list[int], n: int) -> list[int]:
     return counts
 
 
-def weight_distribution(code: CyclicCode, dim_limit: int = 26,
+# largest dimension that Gray-code enumeration takes on, for a cyclic code,
+# its dual, or the message space of a double circulant code
+ENUM_MAX_DIM = 26
+
+
+def weight_distribution(code: CyclicCode,
                         route: str = "auto") -> WeightDistribution:
     """Exact weight distribution of a cyclic code.
 
@@ -64,14 +69,14 @@ def weight_distribution(code: CyclicCode, dim_limit: int = 26,
     if route == "auto":
         route = "direct" if dim <= codim else "dual"
     if route == "direct":
-        if dim > dim_limit:
+        if dim > ENUM_MAX_DIM:
             raise BudgetExceededError(
-                f"dimension {dim} exceeds enumeration limit {dim_limit}")
+                f"dimension {dim} exceeds enumeration limit {ENUM_MAX_DIM}")
         return WeightDistribution(n, tuple(_gray_weights(code.basis(), n)))
     if route == "dual":
-        if codim > dim_limit:
+        if codim > ENUM_MAX_DIM:
             raise BudgetExceededError(
-                f"codimension {codim} exceeds enumeration limit {dim_limit}")
+                f"codimension {codim} exceeds enumeration limit {ENUM_MAX_DIM}")
         dual = code.dual()
         dual_wd = WeightDistribution(n, tuple(_gray_weights(dual.basis(), n)))
         return macwilliams_transform(dual_wd, dual.dim)
@@ -266,26 +271,24 @@ def _min_codeword(n: int, a_bits: int,
     return best, word
 
 
-def min_distance_exact(code: DoubleCirculantCode,
-                       limit: int = EXACT_MAX_N) -> DistanceResult:
+def min_distance_exact(code: DoubleCirculantCode) -> DistanceResult:
     """Exact minimum distance with a minimum-weight witness, by the
     two-sided weight-level search of _min_codeword."""
     n = code.n
-    if n > limit:
+    if n > EXACT_MAX_N:
         raise BudgetExceededError(
-            f"exact distance is offered for n <= {limit}, not n = {n}. "
+            f"exact distance is offered for n <= {EXACT_MAX_N}, not n = {n}. "
             "Use low_weight_search for a randomized witness.")
     d, word = _min_codeword(n, code.a.bits)
     return DistanceResult(d, BitVec(word, 2 * n), True)
 
 
-def dc_weight_distribution(code: DoubleCirculantCode,
-                           dim_limit: int = 26) -> WeightDistribution:
+def dc_weight_distribution(code: DoubleCirculantCode) -> WeightDistribution:
     """Full weight distribution of the [2n, n] code by message enumeration."""
     n = code.n
-    if n > dim_limit:
+    if n > ENUM_MAX_DIM:
         raise BudgetExceededError(
-            f"dimension {n} exceeds enumeration limit {dim_limit}")
+            f"dimension {n} exceeds enumeration limit {ENUM_MAX_DIM}")
     counts = _gray_weights(code.generator_rows(), 2 * n)
     return WeightDistribution(2 * n, tuple(counts))
 

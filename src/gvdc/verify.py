@@ -40,6 +40,10 @@ INFORMATIVE = "informative-only"
 # two-sided 99% normal quantile for the Wilson score interval
 _WILSON_Z = 2.5758293035489004
 
+# largest n for which the audits enumerate every column (and, for the pair
+# histogram, every message): 2^n codes, 4^n pairs
+BRUTEFORCE_MAX_N = 14
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -193,8 +197,9 @@ def expected_count_exact(n: int, w) -> Fraction:
 def _bruteforce_pair_hist(n: int) -> tuple[int, ...]:
     """Histogram over all (column a, message m != 0) pairs of the codeword
     weight wt(m a) + wt(m); 4^n work."""
-    if n > 14:
-        raise BudgetExceededError("brute force enumerates 4^n pairs; n <= 14")
+    if n > BRUTEFORCE_MAX_N:
+        raise BudgetExceededError(
+            f"brute force enumerates 4^n pairs; n <= {BRUTEFORCE_MAX_N}")
     hist = [0] * (2 * n + 1)
     for a in range(1 << n):
         rows = DoubleCirculantCode(n, BitVec(a, n)).generator_rows()
@@ -232,8 +237,9 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
 def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
     of weight <= w."""
-    if n > 14:
-        raise BudgetExceededError("n <= 14 for the exhaustive sweep")
+    if n > BRUTEFORCE_MAX_N:
+        raise BudgetExceededError(
+            f"n <= {BRUTEFORCE_MAX_N} for the exhaustive sweep")
     W = math.floor(w)
     table = dc_distance_table(n)
     return Fraction(sum(1 for d in table if d <= W), 1 << n)
@@ -249,8 +255,8 @@ def _divisors(n: int) -> list[int]:
 
 def orbit_bound_value(n: int, w) -> Fraction:
     """Exact value of the orbit-weighted expectation bound: the sum over
-    nonzero words x of weight <= w of Pr[x is a codeword] / orbit_length(x),
-    grouped by the period d of the half-pair rotation."""
+    nonzero words x of weight <= w of Pr[x is a codeword] / d(x), where
+    d(x) is the period of x under the half-pair rotation."""
     W = min(math.floor(w), 2 * n)
     from .codes import membership_probability
 
@@ -292,8 +298,6 @@ def orbit_bound_value(n: int, w) -> Fraction:
 def verify_orbit_bound(n: int, w) -> LemmaReport:
     """Exact comparison of Pr[some nonzero codeword of weight <= w] against
     the orbit-weighted expectation bound."""
-    if n > 14:
-        raise ValueError("exact orbit audit is limited to n <= 14")
     t0 = time.monotonic()
     lhs = prob_positive_bruteforce(n, w)
     rhs = orbit_bound_value(n, w)
@@ -368,14 +372,14 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
 def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
                      seed: int = 0) -> LemmaReport:
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
-    Exact for n <= 14; Monte Carlo with a 99% Wilson upper edge otherwise,
-    reported as evidence only."""
+    Exact for n <= BRUTEFORCE_MAX_N; Monte Carlo with a 99% Wilson upper
+    edge otherwise, reported as evidence only."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     n = p**m
     t0 = time.monotonic()
     rhs = triple_sum_value(p, m, w)
-    if n > 14:
+    if n > BRUTEFORCE_MAX_N:
         return _sampled_level_reports(p, m, {w: rhs}, trials, seed, t0)[0]
     lhs = prob_positive_bruteforce(n, w)
     status = VERIFIED_EXACT if lhs <= rhs else VIOLATED
@@ -387,13 +391,13 @@ def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
 
 def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
                            seed: int = 0) -> list[LemmaReport]:
-    """Level-sum audit across every weight at n = p^m.  Exact for n <= 14.
-    Larger n: one Monte Carlo pass shared by every w whose bound is still
-    discriminating."""
+    """Level-sum audit across every weight at n = p^m.  Exact for
+    n <= BRUTEFORCE_MAX_N.  Larger n: one Monte Carlo pass shared by every
+    w whose bound is still discriminating."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     n = p**m
-    if n <= 14:
+    if n <= BRUTEFORCE_MAX_N:
         return [verify_triplesum(p, m, w) for w in range(1, 2 * n + 1)]
     t0 = time.monotonic()
     rhs_by_w = {}

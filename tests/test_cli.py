@@ -1,6 +1,8 @@
 """Command line surface: exit codes, file formats, and determinism."""
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +13,10 @@ import time
 import pytest
 
 from gvdc.cli import main
+from gvdc.verify import BRUTEFORCE_MAX_N
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def run_cli(argv):
@@ -33,7 +39,11 @@ def test_missing_required_argument_is_usage_error():
 def test_factor_output():
     code, out = run_cli(["factor", "--n", "9"])
     assert code == 0
-    assert "0x49" in out and "0x3" in out and "0x7" in out
+    # each factor prints in a ring of length n + 1, which holds degree n
+    assert out == ("Z^9+1 = product of 3 irreducible factors\n"
+                   "  deg=  1  n=10;coeffs=0x3\n"
+                   "  deg=  2  n=10;coeffs=0x7\n"
+                   "  deg=  6  n=10;coeffs=0x49\n")
 
 
 def test_primes_scan():
@@ -113,6 +123,14 @@ def test_expected_agreement_gate():
     code, out = run_cli(["expected", "--n", "9", "--w", "4", "--orbit"])
     assert code == 0
     assert "307/256" in out
+
+
+def test_exhaustive_audits_past_their_limit_exit_budget():
+    n = str(BRUTEFORCE_MAX_N + 1)
+    code, _ = run_cli(["verify", "orbit", "--n", n])
+    assert code == 3
+    code, _ = run_cli(["expected", "--n", n, "--w", "3", "--bruteforce"])
+    assert code == 3
 
 
 def test_verify_cx_table_and_exit():
@@ -298,3 +316,40 @@ def test_gvdc_workers_env(tmp_path, monkeypatch):
     assert code == 0
     body = out_csv.read_text()
     assert "workers" not in body  # execution knobs stay out of the echo
+
+
+def _resolves(module, name):
+    """Whether `from module import name` would succeed."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule that nothing has imported yet
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_imports_resolve():
+    """Every gvdc name that the benchmark's probes, checks and tracer
+    reach for exists, so a cleanup of the package cannot abort a run."""
+    wanted = set()
+    for script in ("probes.py", "checks.py"):
+        with open(os.path.join(PERFBENCH, script)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "gvdc":
+                wanted.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                wanted.update(("gvdc", a.name.split(".", 1)[1])
+                              for a in node.names
+                              if a.name.startswith("gvdc."))
+    with open(os.path.join(PERFBENCH, "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    wrapped = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["WRAPPED"]]
+    assert wanted and len(wrapped) == 1 and wrapped[0]
+    wanted.update(wrapped[0])
+    missing = [f"{m}.{n}" for m, n in sorted(wanted) if not _resolves(m, n)]
+    assert missing == []

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvdc.gf2poly import (BudgetExceededError, Factorization, Poly,
-                          cyclotomic_cosets, factorize, gcd_raw,
+from gvdc.gf2poly import (FACTORIZE_MAX_N, BudgetExceededError, Factorization,
+                          Poly, cyclotomic_cosets, factorize, gcd_raw,
                           is_irreducible_raw, kasami_factors, mod_raw,
-                          mul_raw, poly_from_str, poly_mul_mod, poly_to_str,
-                          repetition_poly, ring_modulus, ring_mul_raw)
+                          mul_raw, poly_mul_mod, poly_to_str, repetition_poly,
+                          ring_modulus, ring_mul_raw)
 
 
 def test_mul_raw_hand_values():
@@ -34,23 +34,23 @@ def test_ring_modulus_and_residue_reduction():
 
 
 def test_poly_class_ring_arithmetic():
-    a = Poly(0b011, 3)  # 1 + Z
-    b = Poly(0b110, 3)  # Z + Z^2
-    assert (a + b).bits == 0b101
+    a, b = 0b011, 0b110  # 1 + Z and Z + Z^2
+    assert a ^ b == 0b101  # addition is xor
     # (1+Z)(Z+Z^2) = Z + Z^3 = 1 + Z mod Z^3+1
-    assert (a * b).bits == 0b011
-    assert poly_mul_mod(a, b).bits == 0b011
+    assert ring_mul_raw(a, b, 3) == 0b011
+    assert poly_mul_mod(Poly(a, 3), Poly(b, 3)) == Poly(0b011, 3)
     with pytest.raises(ValueError):
-        poly_mul_mod(a, Poly(1, 5))
+        poly_mul_mod(Poly(a, 3), Poly(1, 5))
+    with pytest.raises(ValueError):
+        Poly(0b1000, 3)  # Z^3 is not reduced
 
 
 def test_serialization_round_trip():
     text = poly_to_str(Poly(0x49, 9))
     assert text == "n=9;coeffs=0x49"
-    back = poly_from_str(text)
-    assert back.bits == 0x49 and back.n == 9
-    with pytest.raises(ValueError):
-        poly_from_str("coeffs=0x49")
+    # the string carries both the ring length and the coefficients
+    n, bits = text.removeprefix("n=").split(";coeffs=")
+    assert Poly(int(bits, 16), int(n)) == Poly(0x49, 9)
 
 
 def test_cyclotomic_cosets_structure():
@@ -87,9 +87,9 @@ def test_factorization_self_check_rejects_bad_product():
 
 
 def test_repetition_poly_values():
-    assert repetition_poly(9, 3).bits == 0b1001001   # 1 + Z^3 + Z^6
-    assert repetition_poly(25, 5).bits == sum(1 << (5 * i) for i in range(5))
-    assert repetition_poly(13, 13).bits == 0x1fff
+    assert repetition_poly(9, 3) == 0b1001001   # 1 + Z^3 + Z^6
+    assert repetition_poly(25, 5) == sum(1 << (5 * i) for i in range(5))
+    assert repetition_poly(13, 13) == 0x1fff
     with pytest.raises(ValueError):
         repetition_poly(9, 2)
 
@@ -108,7 +108,7 @@ def test_kasami_factors_rejects_unsuitable_prime():
 
 def test_factorize_budget():
     with pytest.raises(BudgetExceededError):
-        factorize(5001, limit=4096)
+        factorize(FACTORIZE_MAX_N + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,11 +116,10 @@ def test_factorize_budget():
        st.integers(0, 2**9 - 1))
 def test_ring_mul_properties(a, b, c):
     n = 9
-    pa, pb, pc = Poly(a, n), Poly(b, n), Poly(c, n)
-    ab = poly_mul_mod(pa, pb)
-    assert ab == poly_mul_mod(pb, pa)
-    assert poly_mul_mod(ab, pc) == poly_mul_mod(pa, poly_mul_mod(pb, pc))
-    assert poly_mul_mod(pa, pb + pc) == ab + poly_mul_mod(pa, pc)
+    ab = ring_mul_raw(a, b, n)
+    assert ab == ring_mul_raw(b, a, n)
+    assert ring_mul_raw(ab, c, n) == ring_mul_raw(a, ring_mul_raw(b, c, n), n)
+    assert ring_mul_raw(a, b ^ c, n) == ab ^ ring_mul_raw(a, c, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -60,7 +60,8 @@ def test_weight_distribution_validation():
         WeightDistribution(3, (1, 3, 3))  # wrong length
     # the auto route would dodge this via the dual; force the direct one
     with pytest.raises(BudgetExceededError):
-        weight_distribution(CyclicCode(29, 1), dim_limit=26, route="direct")
+        weight_distribution(CyclicCode(spectrum.ENUM_MAX_DIM + 1, 1),
+                            route="direct")
 
 
 def test_macwilliams_transform_pairs():
@@ -124,7 +125,7 @@ def test_min_distance_matches_brute_force():
 
 def test_min_distance_budget():
     with pytest.raises(BudgetExceededError):
-        min_distance_exact(dc_sample(29, 0), limit=28)
+        min_distance_exact(dc_sample(spectrum.EXACT_MAX_N + 1, 0))
 
 
 def test_dc_weight_distribution_matches_enumeration():
