@@ -295,10 +295,10 @@ def cmd_audit_constants(args) -> int:
 
     print(f"  {'gamma':18s} = {nstr(consts.gamma(), 12)} (2^{consts.decay_log2})")
     print(f"  {'scale':18s} = {nstr(consts.scale(), 12)} (2^{consts.scale_log2})")
-    reports = [audits.verify_kappa_numerics(consts),
-               audits.verify_c2_and_series(consts)]
-    _print_reports(reports)
-    return EXIT_VIOLATED if any(not r.ok() for r in reports) else EXIT_OK
+    rows = (_timed(audits.verify_kappa_numerics, consts)
+            + _timed(audits.verify_c2_and_series, consts))
+    _print_reports(rows)
+    return EXIT_VIOLATED if any(not r.ok() for r, _ in rows) else EXIT_OK
 
 
 def cmd_sample(args) -> int:
@@ -373,31 +373,41 @@ def cmd_expected(args) -> int:
     return code
 
 
-def _print_reports(reports) -> None:
-    if not reports:
+def _timed(audit, *args, **kwargs) -> list[tuple]:
+    """Run one audit call and pair each report it returns with the wall
+    time of the whole call."""
+    t0 = time.monotonic()
+    out = audit(*args, **kwargs)
+    runtime = time.monotonic() - t0
+    return [(r, runtime) for r in (out if isinstance(out, list) else [out])]
+
+
+def _print_reports(rows) -> None:
+    """One line per (report, runtime) row, then the violation count."""
+    if not rows:
         print("nothing to report")
         return
-    width = max(len(r.lemma) for r in reports)
-    for r in reports:
+    width = max(len(r.lemma) for r, _ in rows)
+    for r, runtime in rows:
         params = " ".join(f"{k}={v}" for k, v in r.parameters.items())
         line = (f"{r.lemma:<{width}}  {r.status:<17}  lhs={r.lhs}  rhs={r.rhs}"
-                f"  [{params}]  ({r.runtime:.2f}s)")
+                f"  [{params}]  ({runtime:.2f}s)")
         print(line)
         if r.counterexample:
             print(f"{'':<{width}}  counterexample: {r.counterexample}")
         if r.notes:
             print(f"{'':<{width}}  note: {r.notes}")
-    bad = sum(1 for r in reports if not r.ok())
-    print(f"-- {len(reports)} checks, {bad} violated")
+    bad = sum(1 for r, _ in rows if not r.ok())
+    print(f"-- {len(rows)} checks, {bad} violated")
 
 
-def _report_json(reports, config: dict) -> bytes:
+def _report_json(rows, config: dict) -> bytes:
     # runtimes are wall-clock and deliberately left out: the JSON report is
     # byte-stable for a fixed config
     body = {
         "version": __version__,
         "config": {k: str(v) for k, v in sorted(config.items())},
-        "violated": any(not r.ok() for r in reports),
+        "violated": any(not r.ok() for r, _ in rows),
         "reports": [{
             "lemma": r.lemma,
             "parameters": {k: str(v) for k, v in r.parameters.items()},
@@ -406,7 +416,7 @@ def _report_json(reports, config: dict) -> bytes:
             "rhs": r.rhs,
             "counterexample": r.counterexample,
             "notes": r.notes,
-        } for r in reports],
+        } for r, _ in rows],
     }
     return json.dumps(body, indent=2, sort_keys=True).encode() + b"\n"
 
@@ -417,17 +427,17 @@ def cmd_verify(args) -> int:
     target = args.target
     trials = args.trials if args.trials is not None else 10_000
     seed = args.seed if args.seed is not None else 0
-    reports = []
+    rows = []
     if target in ("all", "cx"):
         for n in ([args.n] if target == "cx" and args.n else (3, 5, 7, 9)):
-            reports.append(audits.verify_lemma_cx(n))
+            rows += _timed(audits.verify_lemma_cx, n)
     if target in ("all", "orbit"):
         ns = [args.n] if target == "orbit" and args.n else [9, 13]
         for n in ns:
             ws = ([args.w] if target == "orbit" and args.w is not None
                   else range(1, 2 * n + 1))
             for w in ws:
-                reports.append(audits.verify_orbit_bound(n, w))
+                rows += _timed(audits.verify_orbit_bound, n, w)
     if target in ("all", "triplesum"):
         if target == "triplesum" and args.p:
             families = [(args.p, args.m or 1)]
@@ -435,32 +445,32 @@ def cmd_verify(args) -> int:
             families = [(3, 2), (13, 1), (5, 2), (3, 3)]
         for p, m in families:
             if target == "triplesum" and args.w is not None:
-                reports.append(audits.verify_triplesum(p, m, args.w,
-                                                       trials=trials,
-                                                       seed=seed))
+                rows += _timed(audits.verify_triplesum, p, m, args.w,
+                               trials=trials, seed=seed)
             else:
-                reports.extend(audits.verify_triplesum_sweep(
-                    p, m, trials=trials, seed=seed))
+                rows += _timed(audits.verify_triplesum_sweep, p, m,
+                               trials=trials, seed=seed)
     if target in ("all", "repetition"):
-        reports.append(audits.verify_repetition(args.max_tr))
+        rows += _timed(audits.verify_repetition, args.max_tr)
     if target in ("all", "distrib"):
-        reports.append(audits.verify_distrib_inequality(
-            samples=args.samples, seed=seed if args.seed is not None else 7))
+        rows += _timed(audits.verify_distrib_inequality, samples=args.samples,
+                       seed=seed if args.seed is not None else 7)
     if target in ("all", "kappa"):
-        reports.append(audits.verify_kappa_numerics(consts))
+        rows += _timed(audits.verify_kappa_numerics, consts)
     if target in ("all", "enumeration"):
-        reports.append(audits.verify_enumeration(args.n if target == "enumeration"
-                                                 else None, consts=consts))
+        rows += _timed(audits.verify_enumeration,
+                       args.n if target == "enumeration" else None,
+                       consts=consts)
     if target in ("all", "c2series"):
-        reports.append(audits.verify_c2_and_series(consts))
-    _print_reports(reports)
+        rows += _timed(audits.verify_c2_and_series, consts)
+    _print_reports(rows)
     config = {"target": target, "trials": trials, "seed": seed, **echo}
     if args.json_out:
-        blob = _report_json(reports, config)
+        blob = _report_json(rows, config)
         _emit_outputs("verify", config, {args.json_out: blob}, args.json_out,
                       {}, started)
         print(f"wrote {args.json_out}")
-    return EXIT_VIOLATED if any(not r.ok() for r in reports) else EXIT_OK
+    return EXIT_VIOLATED if any(not r.ok() for r, _ in rows) else EXIT_OK
 
 
 _EXPERIMENT_KEYS: dict = {
@@ -517,17 +527,9 @@ def cmd_experiment(args) -> int:
                 raise UsageError(f"GVDC_WORKERS must be an integer, got {env!r}")
     if settings.get("n") is None and settings.get("p") is None:
         raise UsageError("give --n, or --p (optionally with --m)")
-    if settings.get("effort", 200) < 1:
-        raise UsageError("effort must be positive")
     records, summary = audits.experiment_distance(
-        n=settings.get("n"), p=settings.get("p"), m=settings.get("m", 1),
-        trials=settings.get("trials", 1000), seed=settings.get("seed", 0),
-        mode=settings.get("mode", "exact"),
-        search_weight=settings.get("w"),
-        effort=settings.get("effort", 200),
-        exhaustive=settings.get("exhaustive", False),
-        workers=settings.get("workers", 1),
-        max_seconds=settings.get("max_seconds"),
+        **{"search_weight" if k == "w" else k: v
+           for k, v in settings.items() if k not in ("out", "summary")},
         consts=consts)
     # workers and output paths steer execution, not results: keeping them
     # out of the echo keeps outputs byte-identical across worker counts

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -138,6 +139,11 @@ def test_verify_cx_table_and_exit():
     assert code == 0
     assert "membership-uniformity" in out
     assert "verified-exact" in out
+    # every report row ends with the wall time of the audit call behind it
+    rows = [ln for ln in out.splitlines()
+            if not ln.startswith((" ", "-- "))]
+    assert len(rows) == 4
+    assert all(re.search(r"  \(\d+\.\d\ds\)$", ln) for ln in rows)
 
 
 def test_verify_triplesum_zero_weight_is_trivial():

@@ -12,16 +12,16 @@ import pytest
 from gvdc import verify
 from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
                         dc_contains, dc_sample)
-from gvdc.gf2poly import mod_raw, ring_mul_raw
+from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from gvdc.spectrum import min_distance_exact
-from gvdc.verify import (INFORMATIVE, VERIFIED_EXACT, VERIFIED_NUMERIC,
-                         VIOLATED, LemmaReport, dc_distance_table,
-                         expected_count_bruteforce, expected_count_exact,
-                         experiment_distance, orbit_bound_value,
-                         prob_positive_bruteforce, triple_sum_value,
-                         trial_seed, verify_lemma_cx, verify_orbit_bound,
-                         verify_triplesum, verify_triplesum_sweep,
-                         wilson_upper)
+from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
+                         VERIFIED_NUMERIC, VIOLATED, LemmaReport,
+                         dc_distance_table, expected_count_bruteforce,
+                         expected_count_exact, experiment_distance,
+                         orbit_bound_value, prob_positive_bruteforce,
+                         triple_sum_value, trial_seed, verify_lemma_cx,
+                         verify_orbit_bound, verify_triplesum,
+                         verify_triplesum_sweep, wilson_upper)
 
 
 def test_wilson_upper_values_and_shape():
@@ -162,6 +162,17 @@ def test_orbit_bound_dominates_truth_and_reports():
         assert prob_positive_bruteforce(n, w) == Fraction(r.lhs)
 
 
+def test_pairs_within_matches_double_loop():
+    rng = random.Random(11)
+    for _ in range(200):
+        x = [rng.randint(0, 9) for _ in range(rng.randint(1, 7))]
+        y = [rng.randint(0, 9) for _ in range(rng.randint(1, 7))]
+        for w in range(-1, len(x) + len(y) + 2):
+            brute = sum(xi * yj for i, xi in enumerate(x)
+                        for j, yj in enumerate(y) if i + j <= w)
+            assert verify._pairs_within(x, y, w) == brute
+
+
 def test_triple_sum_value_hand_case():
     assert triple_sum_value(13, 1, 4) == Fraction(8311, 26624)
     # prime case reduces to a single level
@@ -207,12 +218,16 @@ def test_verify_triplesum_sampled_matches_sweep():
         r = verify_triplesum(5, 2, w, trials=300, seed=2)
         s = sweep[w]
         assert r.status == INFORMATIVE
-        assert (r.lhs, r.rhs, r.notes, r.parameters) == \
-            (s.lhs, s.rhs, s.notes, s.parameters)
+        assert r == s
     loose = verify_triplesum(5, 2, 8, trials=300, seed=2)
     assert float(Fraction(loose.rhs)) >= 0.9 and 8 not in sweep
     assert loose.status == INFORMATIVE
     assert loose.notes == "bound is above 0.9 here and not discriminating"
+
+
+def test_distance_table_refuses_past_its_limit():
+    with pytest.raises(BudgetExceededError):
+        dc_distance_table(TABLE_MAX_N + 1)
 
 
 def test_exhaustive_distance_table_p13():
@@ -293,14 +308,14 @@ def test_experiment_search_mode():
 
 
 def test_experiment_guards():
-    from gvdc.gf2poly import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         experiment_distance(n=29, trials=1, seed=0, mode="exact")
     with pytest.raises(BudgetExceededError):
-        experiment_distance(n=17, exhaustive=True)
+        experiment_distance(n=TABLE_MAX_N + 1, exhaustive=True)
     with pytest.raises(ValueError):
         experiment_distance(n=None, p=None)
+    with pytest.raises(ValueError):
+        experiment_distance(n=13, mode="search", effort=0)
 
 
 def test_experiment_truncation_budget():
