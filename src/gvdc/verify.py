@@ -237,15 +237,21 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=6)
+def _distance_cdf(n: int) -> tuple[int, ...]:
+    """Entry w: the number of columns whose code has distance <= w."""
+    counts = np.bincount(dc_distance_table(n), minlength=2 * n + 1)
+    return tuple(accumulate(counts.tolist()))
+
+
 def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
     of weight <= w."""
     if n > BRUTEFORCE_MAX_N:
         raise BudgetExceededError(
             f"n <= {BRUTEFORCE_MAX_N} for the exhaustive sweep")
-    W = math.floor(w)
-    table = dc_distance_table(n)
-    return Fraction(sum(1 for d in table if d <= W), 1 << n)
+    W = min(math.floor(w), 2 * n)
+    return Fraction(_distance_cdf(n)[W] if W >= 0 else 0, 1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +390,28 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
 # syndrome count cap for repeated identity blocks
 
 
+def _syndrome_weight_hist(x: np.ndarray, wts: np.ndarray, r: int,
+                          t: int) -> np.ndarray:
+    """Counts of the words x of length t r by syndrome and weight: entry
+    [s, w] is the number of words of weight w whose t blocks of r bits XOR
+    to s.  x holds every word 0 .. 2^(tr) - 1 as uint64, wts their weights
+    as int64."""
+    total = t * r
+    mask = np.uint64((1 << r) - 1)
+    syn = x & mask
+    for c in range(1, t):
+        syn = syn ^ ((x >> np.uint64(c * r)) & mask)
+    flat = syn.astype(np.int64) * (total + 1) + wts
+    counts = np.bincount(flat, minlength=(1 << r) * (total + 1))
+    return counts.reshape(1 << r, total + 1)
+
+
+def _all_words(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every word of length total as uint64, with its weight as int64."""
+    x = np.arange(1 << total, dtype=np.uint64)
+    return x, np.bitwise_count(x).astype(np.int64)
+
+
 def verify_repetition(max_tr: int = 18) -> LemmaReport:
     """Exhaustive audit of the syndrome count cap for every shape (r, t)
     with t r <= max_tr, every weight, every syndrome."""
@@ -391,17 +419,10 @@ def verify_repetition(max_tr: int = 18) -> LemmaReport:
     worst_at = None
     equalities = []
     for total in range(1, max_tr + 1):
+        x, wts = _all_words(total)
         for r in _divisors(total):
             t = total // r
-            x = np.arange(1 << total, dtype=np.uint64)
-            mask = np.uint64((1 << r) - 1)
-            syn = x & mask
-            for c in range(1, t):
-                syn = syn ^ ((x >> np.uint64(c * r)) & mask)
-            wts = np.bitwise_count(x).astype(np.int64)
-            flat = syn.astype(np.int64) * (total + 1) + wts
-            counts = np.bincount(flat, minlength=(1 << r) * (total + 1))
-            counts = counts.reshape(1 << r, total + 1)
+            counts = _syndrome_weight_hist(x, wts, r, t)
             caps = [bounds.repetition_bound(r, t, w) for w in range(total + 1)]
             caps_f = np.array([float(c) for c in caps])
             ratios = counts / caps_f
@@ -426,6 +447,24 @@ def verify_repetition(max_tr: int = 18) -> LemmaReport:
         "1", notes=f"tight cases (r,t,w,s): {equalities[:4]}")
 
 
+def _block_code_weights(r: int, t: int, cols: list[int],
+                        extra: int) -> list[int]:
+    """Weight distribution of the words (x1, x2), x1 of length extra and
+    x2 of length t r, whose r parity rows vanish: row k checks the bits of
+    x1 in cols[k] and bit k of every r-bit block of x2."""
+    hist = _syndrome_weight_hist(*_all_words(t * r), r, t)
+    # the extra half by (syndrome, weight), convolved over weight with the
+    # repeated-block half of the same syndrome
+    x1, w1 = _all_words(extra)
+    s1 = np.zeros_like(w1)
+    for k in range(r):
+        parity = np.bitwise_count(x1 & np.uint64(cols[k])) & 1
+        s1 |= parity.astype(np.int64) << k
+    ext = np.bincount(s1 * (extra + 1) + w1, minlength=(1 << r) * (extra + 1))
+    ext = ext.reshape(1 << r, extra + 1)
+    return sum(np.convolve(ext[s], hist[s]) for s in range(1 << r)).tolist()
+
+
 def verify_distrib_inequality(samples: int = 20, seed: int = 7) -> LemmaReport:
     """Random-instance audit of the convolution cap on the weight
     distribution of codes cut out by r parity rows on a repeated identity
@@ -440,24 +479,7 @@ def verify_distrib_inequality(samples: int = 20, seed: int = 7) -> LemmaReport:
         extra = rng.randint(0, min(8, 16 - tr))
         n = tr + extra
         cols = [rng.getrandbits(extra) for _ in range(r)]
-        # weight histogram of the repeated-block half, per syndrome
-        hist = [[0] * (tr + 1) for _ in range(1 << r)]
-        rmask = (1 << r) - 1
-        for x2 in range(1 << tr):
-            s = 0
-            for c in range(t):
-                s ^= (x2 >> (c * r)) & rmask
-            hist[s][x2.bit_count()] += 1
-        counts = [0] * (n + 1)
-        for x1 in range(1 << extra):
-            s1 = 0
-            for k in range(r):
-                s1 |= ((x1 & cols[k]).bit_count() & 1) << k
-            w1 = x1.bit_count()
-            row = hist[s1]
-            for w2 in range(tr + 1):
-                if row[w2]:
-                    counts[w1 + w2] += row[w2]
+        counts = _block_code_weights(r, t, cols, extra)
         lead = sqrt(2 * tr)
         for i in range(tr, n + 1):
             cap = mpf(0)

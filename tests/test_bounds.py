@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import log, mpf, nstr
 
+from gvdc import bounds
 from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp,
                          ball_nonzero, ball_rate_ok, class_sum_bound,
                          enumeration_margin, gv_guarantee,
@@ -118,6 +119,64 @@ def test_weight_tail_exponent_cap():
         assert weight_tail_exponent(alpha, CONSTANTS.kappa) <= full + 1e-30
     with pytest.raises(ValueError):
         weight_tail_exponent(0.2, CONSTANTS.kappa)  # alpha beyond iota
+
+
+def _full_scan_tail_max(iota, copies, grid):
+    """The maximum as computed before the float64 screen: every grid point
+    in mpmath, then the same ternary refinement.  Returns (value, grid max,
+    refinement gap) and the mpf value of every grid point."""
+    i = mpf(str(iota))
+    f = bounds._tail_exponent(i, copies)
+    best = mpf("-inf")
+    besta = mpf(0)
+    values = []
+    for k in range(grid + 1):
+        a = i * k / grid
+        v = f(a)
+        values.append(v)
+        if v > best:
+            best, besta = v, a
+    lo = max(mpf(0), besta - i / grid)
+    hi = min(i, besta + i / grid)
+    while hi - lo > mpf("1e-9"):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    refined = f((lo + hi) / 2)
+    return (max(best, refined), best, refined - best), values
+
+
+def test_screened_tail_max_matches_full_scan(monkeypatch):
+    cases = [(iota, 14, grid) for iota in ("0.05", "0.1", "0.3", "0.5")
+             for grid in (100, 1000)]
+    cases += [("0.3", 3, 1000), ("0.5", 1, 1000)]
+    for iota, t, grid in cases:
+        assert max_weight_tail_exponent(iota, t, grid, detail=True) == \
+            _full_scan_tail_max(iota, t, grid)[0], (iota, t, grid)
+    # at the audited parameters, counting the mpmath evaluations
+    calls = []
+    evaluator = bounds._tail_exponent
+
+    def counting(i, t):
+        f = evaluator(i, t)
+
+        def g(a):
+            calls.append(a)
+            return f(a)
+        return g
+
+    i, t, grid = mpf(str(CONSTANTS.kappa)), CONSTANTS.copies, 10_000
+    expected, values = _full_scan_tail_max(i, t, grid)
+    monkeypatch.setattr(bounds, "_tail_exponent", counting)
+    assert max_weight_tail_exponent(i, t, grid, detail=True) == expected
+    assert len(calls) < 200
+    # the screen keeps every grid point near the top, not just one
+    top = [i * k / grid for k, v in enumerate(values)
+           if v >= expected[1] - mpf("1e-7")]
+    assert len(top) > 1 and set(top) <= set(calls)
 
 
 def test_weight_tail_exponent_matches_textbook_formula():

@@ -11,8 +11,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from gvdc.cli import main
 from gvdc.verify import BRUTEFORCE_MAX_N
 

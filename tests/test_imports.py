@@ -1,11 +1,11 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package, the tests or the scripts
+imports a name it never uses."""
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "gvdc")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -23,15 +23,18 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
+    # the package __init__ imports names only to re-export them
+    modules = [p for pattern in ("src/gvdc/*.py", "tests/*.py", "scripts/*.py")
+               for p in sorted(glob.glob(os.path.join(ROOT, pattern)))
                if os.path.basename(p) != "__init__.py"]
-    assert modules
+    assert {os.path.basename(os.path.dirname(p)) for p in modules} == \
+        {"gvdc", "tests", "scripts"}
     unused = {}
     for path in modules:
         with open(path) as fh:
             names = _unused_imports(ast.parse(fh.read()))
         if names:
-            unused[os.path.basename(path)] = names
+            unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
 
 

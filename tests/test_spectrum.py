@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from gvdc import spectrum
 from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
-                        cyclic_contains, dc_contains, dc_sample,
-                        divisor_codes, nonrepetition_codes)
+                        dc_contains, dc_sample, divisor_codes)
 from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
                           ring_mul_raw)
 from gvdc.spectrum import (WeightDistribution, _min_codeword,

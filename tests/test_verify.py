@@ -1,7 +1,6 @@
 """The audit engine: exact oracles, lemma reports, and experiments."""
 
 import hashlib
-import math
 import random
 import time
 from fractions import Fraction
@@ -11,7 +10,7 @@ import pytest
 
 from gvdc import verify
 from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
-                        dc_contains, dc_sample)
+                        dc_sample)
 from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from gvdc.spectrum import min_distance_exact
 from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
@@ -225,6 +224,74 @@ def test_verify_triplesum_sampled_matches_sweep():
     assert loose.notes == "bound is above 0.9 here and not discriminating"
 
 
+def test_syndrome_weight_hist_matches_loop():
+    for total in range(1, 13):
+        x = np.arange(1 << total, dtype=np.uint64)
+        wts = np.bitwise_count(x).astype(np.int64)
+        for r in (r for r in range(1, total + 1) if total % r == 0):
+            t = total // r
+            ref = [[0] * (total + 1) for _ in range(1 << r)]
+            for word in range(1 << total):
+                s = 0
+                for c in range(t):
+                    s ^= (word >> (c * r)) & ((1 << r) - 1)
+                ref[s][word.bit_count()] += 1
+            got = verify._syndrome_weight_hist(x, wts, r, t)
+            assert got.tolist() == ref, (r, t)
+
+
+def test_block_code_weights_match_loop():
+    rng = random.Random(11)
+    for r, t, extra in [(1, 2, 0), (2, 3, 4), (3, 2, 5), (4, 2, 8), (2, 4, 6)]:
+        cols = [rng.getrandbits(extra) for _ in range(r)]
+        ref = [0] * (t * r + extra + 1)
+        for x1 in range(1 << extra):
+            for x2 in range(1 << (t * r)):
+                s = 0
+                for c in range(t):
+                    s ^= (x2 >> (c * r)) & ((1 << r) - 1)
+                for k in range(r):
+                    s ^= ((x1 & cols[k]).bit_count() & 1) << k
+                if s == 0:
+                    ref[x1.bit_count() + x2.bit_count()] += 1
+        assert verify._block_code_weights(r, t, cols, extra) == ref
+
+
+def test_verify_distrib_inequality_reports(monkeypatch):
+    shapes = []
+    hist = verify._syndrome_weight_hist
+
+    def spy(x, wts, r, t):
+        shapes.append(r * t)
+        return hist(x, wts, r, t)
+
+    monkeypatch.setattr(verify, "_syndrome_weight_hist", spy)
+    for seed in (0, 2, 3, 7):
+        r = verify.verify_distrib_inequality(seed=seed)
+        assert r == LemmaReport(
+            "spectrum-convolution-cap", {"samples": 20, "seed": seed},
+            VERIFIED_NUMERIC, "20 random instances", "all within cap")
+    assert len(shapes) == 80 and max(shapes) == 16
+
+
+def test_verify_distrib_inequality_catches_an_inflated_count(monkeypatch):
+    # seed 3 draws r = 2, t = 4, extra = 8 first; the word x1 = 0 of the
+    # extra columns carries the repeated-block bucket at (s = 0, w = tr)
+    # straight to total weight i = tr = 8
+    hist = verify._syndrome_weight_hist
+
+    def inflated(x, wts, r, t):
+        counts = hist(x, wts, r, t)
+        counts[0, r * t] += 1 << 40
+        return counts
+
+    monkeypatch.setattr(verify, "_syndrome_weight_hist", inflated)
+    r = verify.verify_distrib_inequality(seed=3)
+    assert r.status == VIOLATED
+    assert r.counterexample == "trial=0 r=2 t=4 extra=8 i=8"
+    assert int(r.lhs) > 1 << 40
+
+
 def test_distance_table_refuses_past_its_limit():
     with pytest.raises(BudgetExceededError):
         dc_distance_table(TABLE_MAX_N + 1)
@@ -241,6 +308,10 @@ def test_exhaustive_distance_table_p13():
     share = Fraction(sum(1 for d in table if d <= 4), 1 << 13)
     assert share == Fraction(153, 1024)
     assert share <= Fraction(35802, 106496)
+    # the cumulative count behind prob_positive_bruteforce, at every cap
+    for w in (-1, 0, 3.5, *range(1, 28)):
+        assert prob_positive_bruteforce(13, w) == \
+            Fraction(sum(1 for d in table if d <= w), 1 << 13)
 
 
 def test_distance_table_spot_checks_against_exact():
