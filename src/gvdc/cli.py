@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -425,22 +426,27 @@ def cmd_verify(args) -> int:
     started = time.time()
     consts, echo = _apply_const_overrides(_const_pairs_from_flags(args.const))
     target = args.target
+    if any(v is not None and v < 1 for v in (args.n, args.p, args.m)):
+        raise UsageError("--n, --p and --m must be at least 1")
+    if args.trials is not None and args.trials < 0:
+        raise UsageError("--trials must be nonnegative")
     trials = args.trials if args.trials is not None else 10_000
     seed = args.seed if args.seed is not None else 0
     rows = []
     if target in ("all", "cx"):
-        for n in ([args.n] if target == "cx" and args.n else (3, 5, 7, 9)):
+        for n in ([args.n] if target == "cx" and args.n is not None
+                  else (3, 5, 7, 9)):
             rows += _timed(audits.verify_lemma_cx, n)
     if target in ("all", "orbit"):
-        ns = [args.n] if target == "orbit" and args.n else [9, 13]
+        ns = [args.n] if target == "orbit" and args.n is not None else [9, 13]
         for n in ns:
             ws = ([args.w] if target == "orbit" and args.w is not None
                   else range(1, 2 * n + 1))
             for w in ws:
                 rows += _timed(audits.verify_orbit_bound, n, w)
     if target in ("all", "triplesum"):
-        if target == "triplesum" and args.p:
-            families = [(args.p, args.m or 1)]
+        if target == "triplesum" and args.p is not None:
+            families = [(args.p, args.m if args.m is not None else 1)]
         else:
             families = [(3, 2), (13, 1), (5, 2), (3, 3)]
         for p, m in families:
@@ -451,9 +457,9 @@ def cmd_verify(args) -> int:
                 rows += _timed(audits.verify_triplesum_sweep, p, m,
                                trials=trials, seed=seed)
     if target in ("all", "repetition"):
-        rows += _timed(audits.verify_repetition, args.max_tr)
+        rows += _timed(audits.verify_repetition)
     if target in ("all", "distrib"):
-        rows += _timed(audits.verify_distrib_inequality, samples=args.samples,
+        rows += _timed(audits.verify_distrib_inequality,
                        seed=seed if args.seed is not None else 7)
     if target in ("all", "kappa"):
         rows += _timed(audits.verify_kappa_numerics, consts)
@@ -569,12 +575,14 @@ def _svg_escape(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def _read_records_csv(path: str) -> list[dict]:
+def _read_records_csv(path: str) -> tuple[list[dict], bytes]:
+    """The records of an experiment CSV and the bytes they came from."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}")
+    lines = raw.decode("utf-8").splitlines()
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     if not body:
         raise UsageError(f"{path!r} has no header row")
@@ -588,7 +596,7 @@ def _read_records_csv(path: str) -> list[dict]:
         if len(cells) != len(header):
             raise UsageError(f"{path!r}: malformed row {ln!r}")
         rows.append(dict(zip(header, cells)))
-    return rows
+    return rows, raw
 
 
 def _svg_document(body: list[str], comments: list[str]) -> bytes:
@@ -649,9 +657,7 @@ def _plot_svg(rows: list[dict], kind: str, comments: list[str]) -> bytes:
     def dx(value: float) -> float:
         return left + (value - (lo - 0.5)) / span * (right - left)
 
-    hist: dict[int, int] = {}
-    for d in ds:
-        hist[d] = hist.get(d, 0) + 1
+    hist = Counter(ds)
     body = _svg_frame(
         f"n={n} 2n={2 * n} trials={len(rows)} ({kind})")
     if kind == "histogram":
@@ -672,16 +678,12 @@ def _plot_svg(rows: list[dict], kind: str, comments: list[str]) -> bytes:
                 f'fill="#222222">{c}</text>')
         ylab = "codes"
     else:  # threshold-overlay: empirical cumulative fraction of d <= x
-        total = len(ds)
-        pts = []
-        acc = 0
-        for d in range(lo, hi + 1):
-            acc += hist.get(d, 0)
-            pts.append((d, acc / total))
         scale = bottom - top - 10
         path = [f"M {dx(lo - 0.5):.2f} {bottom:.2f}"]
-        prev = 0.0
-        for d, frac in pts:
+        acc, prev = 0, 0.0
+        for d in range(lo, hi + 1):
+            acc += hist.get(d, 0)
+            frac = acc / len(ds)
             path.append(f"L {dx(d - 0.5):.2f} {bottom - scale * prev:.2f}")
             path.append(f"L {dx(d - 0.5):.2f} {bottom - scale * frac:.2f}")
             prev = frac
@@ -721,9 +723,8 @@ def _plot_svg(rows: list[dict], kind: str, comments: list[str]) -> bytes:
 
 def cmd_plot(args) -> int:
     started = time.time()
-    rows = _read_records_csv(args.records)
-    with open(args.records, "rb") as fh:
-        input_hashes = {os.path.basename(args.records): _sha256(fh.read())}
+    rows, raw = _read_records_csv(args.records)
+    input_hashes = {os.path.basename(args.records): _sha256(raw)}
     manifest_name = os.path.basename(args.out) + ".manifest.json"
     config = {"records": os.path.basename(args.records), "kind": args.kind}
     comments = [_config_comment(config), f"manifest: {manifest_name}"]
@@ -817,8 +818,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--max-tr", dest="max_tr", type=int, default=18)
     sp.add_argument("--json", dest="json_out", metavar="PATH")
     sp.add_argument("--const", action="append", metavar="NAME=VALUE")
     sp.set_defaults(func=cmd_verify)

@@ -46,10 +46,7 @@ def bitvec_to_str(v: BitVec) -> str:
 
 def _rotl(bits: int, j: int, n: int) -> int:
     j %= n
-    if j == 0:
-        return bits
-    mask = (1 << n) - 1
-    return ((bits << j) | (bits >> (n - j))) & mask
+    return ((bits << j) | (bits >> (n - j))) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,8 @@ class DoubleCirculantCode:
 
     def generator_rows(self) -> list[int]:
         """Rows (Z^i a | e_i); the codewords with single-bit right half."""
-        rows = []
-        for i in range(self.n):
-            rows.append(_rotl(self.a.bits, i, self.n) | (1 << (self.n + i)))
-        return rows
+        return [_rotl(self.a.bits, i, self.n) | (1 << (self.n + i))
+                for i in range(self.n)]
 
 
 def dc_sample(n: int, seed: int) -> DoubleCirculantCode:
@@ -175,8 +170,4 @@ def nonrepetition_codes(n: int) -> list[CyclicCode]:
     if t != 1:
         raise ValueError("n must be a prime power")
     marker = repetition_poly(n, p)
-    keep = []
-    for code in divisor_codes(n):
-        if mod_raw(code.g, marker) != 0:
-            keep.append(code)
-    return keep
+    return [c for c in divisor_codes(n) if mod_raw(c.g, marker) != 0]

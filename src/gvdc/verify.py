@@ -27,7 +27,7 @@ from . import bounds
 from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
-                    nonrepetition_codes)
+                    nonrepetition_codes, _rotl)
 from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
 from .spectrum import (EXACT_MAX_N, _gray_weights, _min_codeword,
@@ -227,13 +227,12 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
             f"exhaustive table needs 2^n codes; n <= {TABLE_MAX_N}")
     # rotating the column rotates the left half of every codeword, so one
     # search serves a whole rotation class; every distance is at least 1
-    mask = (1 << n) - 1
     table = [0] * (1 << n)
     for a in range(1 << n):
         if not table[a]:
             d = _min_codeword(n, a)[0]
             for j in range(n):
-                table[((a << j) | (a >> (n - j))) & mask] = d
+                table[_rotl(a, j, n)] = d
     return tuple(table)
 
 
@@ -302,6 +301,8 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
     """Exact value of the level sum: for each repetition level s < m and
     each non-repetition cyclic code C of length n/p^s, the pair count
     sum_{i+j <= w/p^s} A_i(C) A_j(C) / (|C| n / p^s)."""
+    if not is_prime(p) or p == 2 or m < 1:
+        raise ValueError("need an odd prime p and m >= 1")
     n = p**m
     total = Fraction(0)
     for s in range(m):
@@ -324,6 +325,8 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
     rhs_by_w, all answered by one pass over the same sampled columns.  The
     distance search is capped at the largest w and decides d <= w exactly
     for every w up to the cap, so each hit count is exact."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     n = p**m
     cap = math.floor(max(rhs_by_w))
     dmins = [_min_codeword(n, dc_sample(n, trial_seed(seed, i)).a.bits,
@@ -352,8 +355,6 @@ def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
     Exact for n <= BRUTEFORCE_MAX_N; Monte Carlo with a 99% Wilson upper
     edge otherwise, reported as evidence only."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     n = p**m
     rhs = triple_sum_value(p, m, w)
     if n > BRUTEFORCE_MAX_N:
@@ -370,8 +371,8 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
     """Level-sum audit across every weight at n = p^m.  Exact for
     n <= BRUTEFORCE_MAX_N.  Larger n: one Monte Carlo pass shared by every
     w whose bound is still discriminating."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    if not is_prime(p) or p == 2 or m < 1:
+        raise ValueError("need an odd prime p and m >= 1")
     n = p**m
     if n <= BRUTEFORCE_MAX_N:
         return [verify_triplesum(p, m, w) for w in range(1, 2 * n + 1)]
@@ -388,6 +389,12 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
 
 # ---------------------------------------------------------------------------
 # syndrome count cap for repeated identity blocks
+
+
+# the syndrome audit enumerates every word of length t r up to this
+_REPETITION_MAX_TR = 18
+# random instances drawn by the convolution-cap audit
+_DISTRIB_SAMPLES = 20
 
 
 def _syndrome_weight_hist(x: np.ndarray, wts: np.ndarray, r: int,
@@ -412,13 +419,14 @@ def _all_words(total: int) -> tuple[np.ndarray, np.ndarray]:
     return x, np.bitwise_count(x).astype(np.int64)
 
 
-def verify_repetition(max_tr: int = 18) -> LemmaReport:
+def verify_repetition() -> LemmaReport:
     """Exhaustive audit of the syndrome count cap for every shape (r, t)
-    with t r <= max_tr, every weight, every syndrome."""
+    with t r <= _REPETITION_MAX_TR, every weight, every syndrome."""
+    params = {"max_tr": _REPETITION_MAX_TR}
     worst_ratio = 0.0
     worst_at = None
     equalities = []
-    for total in range(1, max_tr + 1):
+    for total in range(1, _REPETITION_MAX_TR + 1):
         x, wts = _all_words(total)
         for r in _divisors(total):
             t = total // r
@@ -436,13 +444,13 @@ def verify_repetition(max_tr: int = 18) -> LemmaReport:
                 cnt = int(counts[s_idx, w_idx])
                 if mpf(cnt) > caps[w_idx]:
                     return LemmaReport(
-                        "syndrome-count-cap", {"max_tr": max_tr}, VIOLATED,
+                        "syndrome-count-cap", params, VIOLATED,
                         str(cnt), nstr(caps[w_idx], 12),
                         counterexample=f"r={r} t={t} w={w_idx} s={s_idx}")
                 if mpf(cnt) == caps[w_idx]:
                     equalities.append((r, t, int(w_idx), int(s_idx)))
     return LemmaReport(
-        "syndrome-count-cap", {"max_tr": max_tr}, VERIFIED_NUMERIC,
+        "syndrome-count-cap", params, VERIFIED_NUMERIC,
         f"max count/cap ratio {worst_ratio:.9f} at (r,t)={worst_at}",
         "1", notes=f"tight cases (r,t,w,s): {equalities[:4]}")
 
@@ -465,14 +473,15 @@ def _block_code_weights(r: int, t: int, cols: list[int],
     return sum(np.convolve(ext[s], hist[s]) for s in range(1 << r)).tolist()
 
 
-def verify_distrib_inequality(samples: int = 20, seed: int = 7) -> LemmaReport:
+def verify_distrib_inequality(seed: int = 7) -> LemmaReport:
     """Random-instance audit of the convolution cap on the weight
     distribution of codes cut out by r parity rows on a repeated identity
     block plus arbitrary extra columns; checked for every i >= t r."""
+    params = {"samples": _DISTRIB_SAMPLES, "seed": seed}
     rng = random.Random(seed)
     from mpmath import sqrt
 
-    for trial in range(samples):
+    for trial in range(_DISTRIB_SAMPLES):
         r = rng.randint(1, 4)
         t = rng.randint(2, 4)
         tr = t * r
@@ -490,13 +499,12 @@ def verify_distrib_inequality(samples: int = 20, seed: int = 7) -> LemmaReport:
             cap *= lead
             if mpf(counts[i]) > cap:
                 return LemmaReport(
-                    "spectrum-convolution-cap",
-                    {"samples": samples, "seed": seed}, VIOLATED,
+                    "spectrum-convolution-cap", params, VIOLATED,
                     str(counts[i]), nstr(cap, 12),
                     counterexample=f"trial={trial} r={r} t={t} extra={extra} i={i}")
     return LemmaReport(
-        "spectrum-convolution-cap", {"samples": samples, "seed": seed},
-        VERIFIED_NUMERIC, f"{samples} random instances", "all within cap")
+        "spectrum-convolution-cap", params, VERIFIED_NUMERIC,
+        f"{_DISTRIB_SAMPLES} random instances", "all within cap")
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +604,6 @@ def verify_c2_and_series(consts: ProofConstants = CONSTANTS) -> LemmaReport:
                 return LemmaReport("class-sum-and-series", {}, VIOLATED,
                                    nstr(bounds.level_series_bound(p, m), 12),
                                    nstr(cap, 12), counterexample=f"p={p} m={m}")
-    p0 = _first_primes_from(consts.prime_floor, 1)[0]
     # the contraction is rational once the cap value is taken at face value
     c2 = Fraction(str(consts.class_sum_cap))
     first_kasami = next_kasami_prime(consts.prime_floor)
@@ -608,8 +615,8 @@ def verify_c2_and_series(consts: ProofConstants = CONSTANTS) -> LemmaReport:
     return LemmaReport(
         "class-sum-and-series", {"primes": len(probe)}, VERIFIED_NUMERIC,
         f"chain value {float(chain):.12f}", "< 1",
-        notes=(f"first prime probed {p0}; geometric tail at {first_kasami} is "
-               f"{nstr(tail, 3)} (< 1e-100)"))
+        notes=(f"first prime probed {probe[1]}; geometric tail at "
+               f"{first_kasami} is {nstr(tail, 3)} (< 1e-100)"))
 
 
 # ---------------------------------------------------------------------------
@@ -625,28 +632,23 @@ def _resolve_threshold(n: int,
 
 
 def _run_trial_block(args) -> list[tuple]:
-    """Worker body: evaluate one contiguous block of trials, stopping
-    before the first trial that would start past the deadline (a
+    """Worker body: evaluate one contiguous block of sampled trials,
+    stopping before the first trial that would start past the deadline (a
     time.monotonic() value, or None for no deadline)."""
-    (n, indices, master_seed, mode, search_weight, effort, exhaustive,
-     deadline) = args
+    n, indices, master_seed, mode, search_weight, effort, deadline = args
     out = []
     for idx in indices:
         if deadline is not None and time.monotonic() > deadline:
             break
-        if exhaustive:
-            a_bits, tseed = idx, 0
-        else:
-            tseed = trial_seed(master_seed, idx)
-            a_bits = dc_sample(n, tseed).a.bits
-        code = DoubleCirculantCode(n, BitVec(a_bits, n))
+        tseed = trial_seed(master_seed, idx)
+        code = dc_sample(n, tseed)
         if mode == "exact":
             found: int | None = min_distance_exact(code).value
         else:
             res = low_weight_search(code, search_weight, effort=effort,
                                     seed=trial_seed(tseed, idx))
             found = res.value if res is not None else None
-        out.append((idx, tseed, a_bits, found))
+        out.append((idx, tseed, code.a.bits, found))
     return out
 
 
@@ -663,66 +665,72 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     records the best randomized witness at or below search_weight, which
     defaults to the volume-argument guarantee.  Records are identical for
     any worker count.  A max_seconds budget stops scheduling further
-    trials and marks the summary truncated; finished trials are kept."""
+    trials and marks the summary truncated; finished trials are kept.
+
+    An exhaustive run is exact only: it reads every column's distance
+    from dc_distance_table(n), with trial = column and seed 0, so its trial
+    count is 2^n.  It ignores workers and max_seconds and is never
+    truncated; the table is bounded by TABLE_MAX_N instead (under a second
+    at n = 16)."""
     if n is None:
         if p is None:
             raise ValueError("give n, or p (optionally with m)")
         n = p**m
     if mode not in ("exact", "search"):
         raise ValueError("mode must be 'exact' or 'search'")
+    if exhaustive and mode != "exact":
+        raise ValueError("exhaustive runs are exact only")
     if effort < 1:
         raise ValueError("effort must be positive")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if mode == "exact" and n > EXACT_MAX_N:
         raise BudgetExceededError(
             f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")
-    if exhaustive and n > TABLE_MAX_N:
-        raise BudgetExceededError(
-            f"exhaustive runs need 2^n codes; n <= {TABLE_MAX_N}")
     gv = bounds.gv_guarantee(n)
     kind, threshold = _resolve_threshold(n, consts)
     if search_weight is None:
         search_weight = gv
-    count = (1 << n) if exhaustive else trials
-    in_process = workers <= 1 or count < 4
-    # one block per worker; under a budget, blocks of at most 64 trials,
-    # each of which stops at the deadline between two trials.  Blocks are
-    # collected in order up to the first short one, so the records are
-    # always a prefix of the trials.
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    chunk = -(-count // (1 if in_process else workers))
-    if max_seconds is not None:
-        chunk = min(chunk, 64)
-    jobs = [(n, range(i, min(i + chunk, count)), seed, mode, search_weight,
-             effort, exhaustive, deadline)
-            for i in range(0, count, max(1, chunk))]
-    truncated = False
-    blocks = []
-    with (nullcontext() if in_process
-          else ProcessPoolExecutor(max_workers=workers)) as pool:
-        results = (map if pool is None else pool.map)(_run_trial_block, jobs)
-        for job, block in zip(jobs, results):
-            blocks.append(block)
-            if len(block) < len(job[1]):
-                truncated = True
-                break
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    rows = sorted(r for block in blocks for r in block)
+    rows, truncated = [], False
+    if exhaustive:
+        rows = [(a, 0, a, d) for a, d in enumerate(dc_distance_table(n))]
+        trials = len(rows)
+    else:
+        # one block per worker; under a budget, blocks of at most 64
+        # trials, each of which stops at the deadline between two trials.
+        # Blocks are collected in order up to the first short one, so the
+        # records are always a prefix of the trials.
+        in_process = workers <= 1 or trials < 4
+        deadline = (None if max_seconds is None
+                    else time.monotonic() + max_seconds)
+        chunk = -(-trials // (1 if in_process else workers))
+        if max_seconds is not None:
+            chunk = min(chunk, 64)
+        jobs = [(n, range(trials)[i:i + chunk], seed, mode, search_weight,
+                 effort, deadline) for i in range(0, trials, max(1, chunk))]
+        with (nullcontext() if in_process
+              else ProcessPoolExecutor(max_workers=workers)) as pool:
+            run = map if pool is None else pool.map
+            for job, block in zip(jobs, run(_run_trial_block, jobs)):
+                rows += block
+                if len(block) < len(job[1]):
+                    truncated = True
+                    break
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     records = [ExperimentRecord(n, idx, tseed, hex(a_bits), found,
                                 mode == "exact", gv, kind, threshold)
                for idx, tseed, a_bits, found in rows]
     found_vals = sorted(r.d_found for r in records if r.d_found is not None)
-    hist: dict[int, int] = {}
-    for v in found_vals:
-        hist[v] = hist.get(v, 0) + 1
     done = len(records)
     summary: dict = {
         "n": n, "mode": mode, "seed": seed, "exhaustive": exhaustive,
-        "trials": count, "completed": done,
+        "trials": trials, "completed": done,
         "truncated": truncated, "vacuous": done == 0,
         "gv_guarantee": gv,
         "threshold_kind": kind, "threshold": threshold,
-        "histogram": {str(k): v for k, v in sorted(hist.items())},
+        "histogram": {str(k): v
+                      for k, v in sorted(Counter(found_vals).items())},
         "none_found": sum(1 for r in records if r.d_found is None),
     }
     if found_vals:
@@ -735,7 +743,7 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         if kind == "simple":
             bound = bounds.simple_prob_bound(n, threshold)
             summary["prob_bound"] = str(bound)
-            if exhaustive and not truncated:
+            if exhaustive:
                 summary["prob_bound_holds"] = Fraction(at_most, done) <= bound
             else:
                 summary["wilson_upper_99"] = round(wilson_upper(at_most, done), 9)

@@ -139,7 +139,7 @@ def test_criterion_06_exhaustive_prime_instance(capsys):
 
 def test_criterion_07_syndrome_count_cap(capsys):
     t0 = time.time()
-    r = verify_repetition(max_tr=18)
+    r = verify_repetition()
     elapsed = time.time() - t0
     ok = (r.ok() and "(1, 2, 1, 1)" in r.notes and elapsed < 600)
     _report(capsys, 7, ok,

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 
+from gvdc import cli
 from gvdc.cli import main
 from gvdc.verify import BRUTEFORCE_MAX_N
 
@@ -153,6 +155,24 @@ def test_verify_triplesum_zero_weight_is_trivial():
     assert "(50 samples, 0 hits)" in out
 
 
+def test_verify_rejects_parameters_below_one():
+    for argv in (["cx", "--n", "0"],
+                 ["orbit", "--n", "0"],
+                 ["triplesum", "--p", "0"],
+                 ["triplesum", "--p", "5", "--m", "0"],
+                 ["enumeration", "--n", "0"],
+                 ["enumeration", "--n", "-5"],
+                 ["triplesum", "--p", "5", "--m", "2", "--trials", "-3"]):
+        code, out = run_cli(["verify", *argv])
+        assert code == 1 and out == "", argv
+
+
+def test_verify_sample_and_tr_limits_are_not_flags():
+    for flag in ("--samples", "--max-tr"):
+        code, out = run_cli(["verify", "repetition", flag, "0"])
+        assert code == 1 and out == ""
+
+
 def test_verify_json_omits_runtimes(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify", "kappa", "--json", str(out_path)])
@@ -229,6 +249,14 @@ def test_effort_must_be_positive(tmp_path):
     assert code == 0 and out_csv.exists()
 
 
+def test_experiment_usage_errors(tmp_path):
+    out_csv = tmp_path / "runs.csv"
+    for argv in (["--n", "9", "--trials", "-5"],
+                 ["--n", "9", "--exhaustive", "--mode", "search"]):
+        code, out = run_cli(["experiment", *argv, "--out", str(out_csv)])
+        assert code == 1 and out == "" and not out_csv.exists(), argv
+
+
 def test_experiment_worker_count_leaves_no_trace(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
@@ -276,6 +304,28 @@ def test_plot_histogram_and_overlay(tmp_path):
         text = svg_path.read_text()
         assert text.startswith("<?xml")
         assert "<svg" in text and "</svg>" in text
+
+
+def test_plot_hashes_the_bytes_it_plots(tmp_path, monkeypatch):
+    out_csv = tmp_path / "runs.csv"
+    run_cli(["experiment", "--n", "13", "--trials", "12", "--seed", "0",
+             "--out", str(out_csv)])
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    svg_path = tmp_path / "hist.svg"
+    code, _ = run_cli(["plot", "--records", str(out_csv),
+                       "--out", str(svg_path)])
+    assert code == 0
+    assert opened.count(str(out_csv)) == 1
+    manifest = json.loads(
+        (tmp_path / "hist.svg.manifest.json").read_text())
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert manifest["input_hashes"] == {"runs.csv": digest}
 
 
 def test_plot_rejects_foreign_csv(tmp_path):

@@ -366,6 +366,38 @@ def test_experiment_vacuous_and_exhaustive_flags():
     assert Fraction(summary["prob_bound"]) == Fraction(35802, 106496)
 
 
+def test_exhaustive_records_match_the_engine_on_every_column():
+    for n in range(1, 11):
+        records, summary = experiment_distance(n=n, exhaustive=True)
+        assert [r.trial for r in records] == list(range(1 << n))
+        assert summary["completed"] == summary["trials"] == 1 << n
+        for rec in records:
+            assert rec.seed == 0 and rec.exact
+            assert int(rec.a_hex, 16) == rec.trial
+            code = DoubleCirculantCode(n, BitVec(rec.trial, n))
+            assert rec.d_found == min_distance_exact(code).value
+
+
+def test_exhaustive_ignores_workers_and_budget():
+    serial = experiment_distance(p=13, exhaustive=True)
+    scheduled = experiment_distance(p=13, exhaustive=True, workers=3,
+                                    max_seconds=0)
+    assert scheduled == serial
+    assert not scheduled[1]["truncated"]
+    assert scheduled[1]["completed"] == 1 << 13
+
+
+def test_level_audit_guards():
+    # at m = 0 the level sum is empty, so an unchecked call would compare
+    # Pr[d <= w] = 1 at n = 1 against 0 and report a false violation
+    for p, m, trials in ((5, 0, 10), (5, -1, 10), (0, 1, 10), (9, 1, 10),
+                         (5, 2, -3)):
+        with pytest.raises(ValueError):
+            verify_triplesum(p, m, 3, trials=trials)
+        with pytest.raises(ValueError):
+            verify_triplesum_sweep(p, m, trials=trials)
+
+
 def test_experiment_search_mode():
     records, summary = experiment_distance(
         n=33, trials=6, seed=2, mode="search", search_weight=8, effort=60
@@ -387,6 +419,10 @@ def test_experiment_guards():
         experiment_distance(n=None, p=None)
     with pytest.raises(ValueError):
         experiment_distance(n=13, mode="search", effort=0)
+    with pytest.raises(ValueError):
+        experiment_distance(n=9, trials=-5)
+    with pytest.raises(ValueError):
+        experiment_distance(n=9, exhaustive=True, mode="search")
 
 
 def test_experiment_truncation_budget():
