@@ -5,7 +5,8 @@ Usage: python scripts/full_audit.py [outdir] [--trials N] [--seed S]
 
 Runs `gvdc verify all` and writes OUTDIR/audit.json with its manifest
 sidecar.  Without --seed the audits keep their own default seeds.  Exits 2
-if anything is violated.  Expect a few minutes; the Monte Carlo sweeps at
+if anything is violated.  Expect a few seconds (about 3 s on a 2-core
+machine with the default 10 000 trials); the Monte Carlo sweeps at
 n in {25, 27} dominate.
 """
 

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,10 +84,18 @@ def weight_distribution(code: CyclicCode,
     raise ValueError(f"unknown route {route!r}")
 
 
-def _krawtchouk_row(n: int, j: int) -> list[int]:
-    """K_j(i) for i = 0..n, exact integers."""
-    return [sum((-1) ** l * math.comb(i, l) * math.comb(n - i, j - l)
-                for l in range(0, j + 1)) for i in range(n + 1)]
+@lru_cache(maxsize=64)
+def _krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [j][i] is K_j(i), the coefficient of z^j in
+    (1 - z)^i (1 + z)^(n - i), for 0 <= i, j <= n.  Exact integers."""
+    col = [math.comb(n, j) for j in range(n + 1)]
+    cols = [col]
+    for _ in range(n):
+        # multiply by (1 - z) / (1 + z): divide exactly, then multiply
+        quo = list(accumulate(col[:-1], lambda q, c: c - q))
+        col = [a - b for a, b in zip(quo + [0], [0] + quo)]
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def macwilliams_transform(wd: WeightDistribution, dim: int) -> WeightDistribution:
@@ -97,8 +106,7 @@ def macwilliams_transform(wd: WeightDistribution, dim: int) -> WeightDistributio
     if wd.total() != size:
         raise ValueError("distribution total does not match 2^dim")
     out = []
-    for j in range(n + 1):
-        row = _krawtchouk_row(n, j)
+    for row in _krawtchouk_matrix(n):
         s = sum(a * k for a, k in zip(wd.counts, row))
         if s % size:
             raise ValueError("transform produced a non-integer count")

@@ -327,6 +327,8 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
     for every w up to the cap, so each hit count is exact."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if min(rhs_by_w) < 0:
+        raise ValueError("w must be nonnegative")
     n = p**m
     cap = math.floor(max(rhs_by_w))
     dmins = [_min_codeword(n, dc_sample(n, trial_seed(seed, i)).a.bits,
@@ -355,6 +357,8 @@ def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
     Exact for n <= BRUTEFORCE_MAX_N; Monte Carlo with a 99% Wilson upper
     edge otherwise, reported as evidence only."""
+    if w < 0:
+        raise ValueError("w must be nonnegative")
     n = p**m
     rhs = triple_sum_value(p, m, w)
     if n > BRUTEFORCE_MAX_N:
@@ -391,46 +395,58 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
 # syndrome count cap for repeated identity blocks
 
 
-# the syndrome audit enumerates every word of length t r up to this
+# the syndrome audit covers every shape with t r up to this
 _REPETITION_MAX_TR = 18
 # random instances drawn by the convolution-cap audit
 _DISTRIB_SAMPLES = 20
 
 
-def _syndrome_weight_hist(x: np.ndarray, wts: np.ndarray, r: int,
-                          t: int) -> np.ndarray:
-    """Counts of the words x of length t r by syndrome and weight: entry
-    [s, w] is the number of words of weight w whose t blocks of r bits XOR
-    to s.  x holds every word 0 .. 2^(tr) - 1 as uint64, wts their weights
-    as int64."""
-    total = t * r
-    mask = np.uint64((1 << r) - 1)
-    syn = x & mask
-    for c in range(1, t):
-        syn = syn ^ ((x >> np.uint64(c * r)) & mask)
-    flat = syn.astype(np.int64) * (total + 1) + wts
-    counts = np.bincount(flat, minlength=(1 << r) * (total + 1))
-    return counts.reshape(1 << r, total + 1)
+def _poly_mul(x: list[int], y: list[int]) -> list[int]:
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
 
 
-def _all_words(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every word of length total as uint64, with its weight as int64."""
-    x = np.arange(1 << total, dtype=np.uint64)
-    return x, np.bitwise_count(x).astype(np.int64)
+def _syndrome_class_counts(r: int, t: int) -> np.ndarray:
+    """Counts of the words of length t r by syndrome class and weight:
+    entry [j, w] is the number of words of weight w whose t blocks of r
+    bits XOR to any one fixed syndrome s of weight j.
+
+    Bit k of s is the parity of the t bits at position k of the blocks,
+    and the r positions are independent, so the count is the coefficient
+    of z^w in E(z)^(r - j) O(z)^j, with E and O the even and odd parts of
+    (1 + z)^t.  Exact integers; a count past int64 raises."""
+    row = [math.comb(t, i) for i in range(t + 1)]
+    even = [c if i % 2 == 0 else 0 for i, c in enumerate(row)]
+    odd = [c if i % 2 else 0 for i, c in enumerate(row)]
+    even_pow, odd_pow = [[1]], [[1]]
+    for _ in range(r):
+        even_pow.append(_poly_mul(even_pow[-1], even))
+        odd_pow.append(_poly_mul(odd_pow[-1], odd))
+    return np.array([_poly_mul(even_pow[r - j], odd_pow[j])
+                     for j in range(r + 1)], dtype=np.int64)
 
 
 def verify_repetition() -> LemmaReport:
-    """Exhaustive audit of the syndrome count cap for every shape (r, t)
-    with t r <= _REPETITION_MAX_TR, every weight, every syndrome."""
+    """Audit, on exact counts, of the syndrome count cap for every shape
+    (r, t) with t r <= _REPETITION_MAX_TR, every weight, every syndrome.
+
+    The counts come from the parity polynomials of
+    _syndrome_class_counts, one row per syndrome weight; the tests check
+    them against full enumeration of the words.  Cases are reported in
+    (s, w) order, so a violation names the least syndrome s = 2^j - 1 of
+    its class."""
     params = {"max_tr": _REPETITION_MAX_TR}
     worst_ratio = 0.0
     worst_at = None
     equalities = []
     for total in range(1, _REPETITION_MAX_TR + 1):
-        x, wts = _all_words(total)
         for r in _divisors(total):
             t = total // r
-            counts = _syndrome_weight_hist(x, wts, r, t)
+            counts = _syndrome_class_counts(r, t)
             caps = [bounds.repetition_bound(r, t, w) for w in range(total + 1)]
             caps_f = np.array([float(c) for c in caps])
             ratios = counts / caps_f
@@ -439,16 +455,23 @@ def verify_repetition() -> LemmaReport:
                 worst_ratio = peak
                 worst_at = (r, t)
             # near or past the cap in float: recheck against mpf exactly
-            sus = np.argwhere(ratios > 1 - 1e-9)
-            for s_idx, w_idx in sus:
-                cnt = int(counts[s_idx, w_idx])
-                if mpf(cnt) > caps[w_idx]:
+            tight: dict[int, list[int]] = {}
+            for j, w in np.argwhere(ratios > 1 - 1e-9).tolist():
+                cnt = int(counts[j, w])
+                if mpf(cnt) > caps[w]:
                     return LemmaReport(
                         "syndrome-count-cap", params, VIOLATED,
-                        str(cnt), nstr(caps[w_idx], 12),
-                        counterexample=f"r={r} t={t} w={w_idx} s={s_idx}")
-                if mpf(cnt) == caps[w_idx]:
-                    equalities.append((r, t, int(w_idx), int(s_idx)))
+                        str(cnt), nstr(caps[w], 12),
+                        counterexample=f"r={r} t={t} w={w} s={(1 << j) - 1}")
+                if mpf(cnt) == caps[w]:
+                    tight.setdefault(j, []).append(w)
+            # only the first four tight cases are reported
+            if tight and len(equalities) < 4:
+                for s in range(1 << r):
+                    equalities += [(r, t, w, s)
+                                   for w in tight.get(s.bit_count(), ())]
+                    if len(equalities) >= 4:
+                        break
     return LemmaReport(
         "syndrome-count-cap", params, VERIFIED_NUMERIC,
         f"max count/cap ratio {worst_ratio:.9f} at (r,t)={worst_at}",
@@ -460,17 +483,19 @@ def _block_code_weights(r: int, t: int, cols: list[int],
     """Weight distribution of the words (x1, x2), x1 of length extra and
     x2 of length t r, whose r parity rows vanish: row k checks the bits of
     x1 in cols[k] and bit k of every r-bit block of x2."""
-    hist = _syndrome_weight_hist(*_all_words(t * r), r, t)
+    classes = _syndrome_class_counts(r, t)
     # the extra half by (syndrome, weight), convolved over weight with the
     # repeated-block half of the same syndrome
-    x1, w1 = _all_words(extra)
+    x1 = np.arange(1 << extra, dtype=np.uint64)
+    w1 = np.bitwise_count(x1).astype(np.int64)
     s1 = np.zeros_like(w1)
     for k in range(r):
         parity = np.bitwise_count(x1 & np.uint64(cols[k])) & 1
         s1 |= parity.astype(np.int64) << k
     ext = np.bincount(s1 * (extra + 1) + w1, minlength=(1 << r) * (extra + 1))
     ext = ext.reshape(1 << r, extra + 1)
-    return sum(np.convolve(ext[s], hist[s]) for s in range(1 << r)).tolist()
+    return sum(np.convolve(ext[s], classes[s.bit_count()])
+               for s in range(1 << r)).tolist()
 
 
 def verify_distrib_inequality(seed: int = 7) -> LemmaReport:
@@ -553,21 +578,32 @@ def verify_kappa_numerics(consts: ProofConstants = CONSTANTS) -> LemmaReport:
 _OMEGA_GRID = tuple(Fraction(k, 1000) for k in range(100, 125))
 
 
+def _binomials(m: int, kmax: int) -> list[int]:
+    """C(m, k) for k = 0..kmax, by C(m, k + 1) = C(m, k) (m - k) / (k + 1),
+    which divides exactly at every step."""
+    out = [1]
+    for k in range(kmax):
+        out.append(out[-1] * (m - k) // (k + 1))
+    return out
+
+
 def verify_enumeration(n: int | None = None,
                        consts: ProofConstants = CONSTANTS) -> LemmaReport:
     """Exact big-integer audit of the split tail count: twice the sum of
     C(n,i) C(n,j) over i + j <= w, i < kappa n, against the nonzero ball of
     radius w in length 2n discounted by 2^(epsilon n).  The irrational
     discount is rounded up to the next integer exponent, which only makes
-    the check harder."""
+    the check harder.  The count is claimed from n_floor on; a smaller n
+    is a ValueError."""
     n = consts.n_floor if n is None else n
+    if n < consts.n_floor:
+        raise ValueError("the split tail count is claimed for "
+                         f"n >= n_floor = {consts.n_floor}, not n = {n}")
     imax = math.ceil(consts.kappa * n) - 1
     eps_up = math.ceil(consts.epsilon * n)
     wmax = max(math.floor(2 * om * n) for om in _OMEGA_GRID)
-    binom = [math.comb(n, k) for k in range(min(wmax, n) + 1)]
-    pref2 = [0]
-    for k in range(wmax + 1):
-        pref2.append(pref2[-1] + math.comb(2 * n, k))
+    binom = _binomials(n, min(wmax, n))
+    pref2 = [0, *accumulate(_binomials(2 * n, wmax))]
     margin = bounds.enumeration_margin(n, consts=consts)
     if margin < mpf(str(consts.epsilon)):
         return LemmaReport("split-tail-count", {"n": n}, VIOLATED,

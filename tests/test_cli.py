@@ -167,6 +167,18 @@ def test_verify_rejects_parameters_below_one():
         assert code == 1 and out == "", argv
 
 
+def test_verify_rejects_out_of_range_audit_parameters():
+    # the split tail count starts at n_floor = 2744; no codeword has
+    # negative weight, on the exact path (n = 9) or the sampled one (n = 25)
+    for argv in (["enumeration", "--n", "1"],
+                 ["enumeration", "--n", "100"],
+                 ["triplesum", "--p", "3", "--m", "2", "--w", "-1"],
+                 ["triplesum", "--p", "5", "--m", "2", "--w", "-1",
+                  "--trials", "5"]):
+        code, out = run_cli(["verify", *argv])
+        assert code == 1 and out == "", argv
+
+
 def test_verify_sample_and_tr_limits_are_not_flags():
     for flag in ("--samples", "--max-tr"):
         code, out = run_cli(["verify", "repetition", flag, "0"])

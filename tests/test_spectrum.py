@@ -1,5 +1,6 @@
 """Weight distributions, the dual transform, and minimum distance."""
 
+import math
 import random
 
 import pytest
@@ -89,6 +90,27 @@ def test_macwilliams_is_an_involution():
             once = macwilliams_transform(wd, dim=code.dim)
             back = macwilliams_transform(once, dim=n - code.dim)
             assert back.counts == wd.counts
+
+
+def test_krawtchouk_matrix_matches_the_binomial_sum():
+    for n in range(31):
+        matrix = spectrum._krawtchouk_matrix(n)
+        assert matrix == tuple(
+            tuple(sum((-1) ** l * math.comb(i, l) * math.comb(n - i, j - l)
+                      for l in range(j + 1)) for i in range(n + 1))
+            for j in range(n + 1)), n
+
+
+def test_krawtchouk_matrix_cache_is_immutable():
+    matrix = spectrum._krawtchouk_matrix(3)
+    with pytest.raises(TypeError):
+        matrix[1][0] = 0
+    with pytest.raises(TypeError):
+        matrix[1] = (0, 0, 0, 0)
+    assert spectrum._krawtchouk_matrix(3) is matrix
+    assert matrix[1] == (3, 1, -1, -3)
+    even = weight_distribution(CyclicCode(3, 0b11))
+    assert macwilliams_transform(even, dim=2).counts == (1, 0, 0, 1)
 
 
 def brute_dc_min_distance(code: DoubleCirculantCode) -> int:

@@ -1,6 +1,7 @@
 """The audit engine: exact oracles, lemma reports, and experiments."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -226,8 +227,6 @@ def test_verify_triplesum_sampled_matches_sweep():
 
 def test_syndrome_weight_hist_matches_loop():
     for total in range(1, 13):
-        x = np.arange(1 << total, dtype=np.uint64)
-        wts = np.bitwise_count(x).astype(np.int64)
         for r in (r for r in range(1, total + 1) if total % r == 0):
             t = total // r
             ref = [[0] * (total + 1) for _ in range(1 << r)]
@@ -236,8 +235,64 @@ def test_syndrome_weight_hist_matches_loop():
                 for c in range(t):
                     s ^= (word >> (c * r)) & ((1 << r) - 1)
                 ref[s][word.bit_count()] += 1
-            got = verify._syndrome_weight_hist(x, wts, r, t)
-            assert got.tolist() == ref, (r, t)
+            got = verify._syndrome_class_counts(r, t)
+            assert got.shape == (r + 1, total + 1)
+            assert [got[s.bit_count()].tolist()
+                    for s in range(1 << r)] == ref, (r, t)
+
+
+def bruteforce_syndrome_hist(r: int, t: int) -> np.ndarray:
+    """Entry [s, w]: the words of length t r and weight w whose t blocks
+    of r bits XOR to s, by enumerating every word."""
+    total = t * r
+    x = np.arange(1 << total, dtype=np.uint64)
+    mask = np.uint64((1 << r) - 1)
+    syn = x & mask
+    for c in range(1, t):
+        syn = syn ^ ((x >> np.uint64(c * r)) & mask)
+    flat = syn.astype(np.int64) * (total + 1) + np.bitwise_count(x)
+    counts = np.bincount(flat, minlength=(1 << r) * (total + 1))
+    return counts.reshape(1 << r, total + 1)
+
+
+def test_syndrome_class_counts_match_full_enumeration():
+    # every shape the repetition audit covers
+    for total in range(1, verify._REPETITION_MAX_TR + 1):
+        for r in (r for r in range(1, total + 1) if total % r == 0):
+            classes = verify._syndrome_class_counts(r, total // r)
+            weights = np.bitwise_count(np.arange(1 << r, dtype=np.uint64))
+            assert (classes[weights.astype(np.intp)]
+                    == bruteforce_syndrome_hist(r, total // r)).all(), r
+
+
+def test_verify_repetition_report():
+    # the tight cases are listed in (r, t) then (s, w) order
+    assert verify.verify_repetition() == LemmaReport(
+        "syndrome-count-cap", {"max_tr": 18}, VERIFIED_NUMERIC,
+        "max count/cap ratio 1.000000000 at (r,t)=(1, 2)", "1",
+        notes="tight cases (r,t,w,s): "
+              "[(1, 2, 1, 1), (2, 1, 1, 1), (2, 1, 1, 2)]")
+
+
+def test_verify_repetition_catches_an_inflated_count(monkeypatch):
+    # at (r, t) = (3, 2) the syndromes of weight 1 are s = 1, 2, 4 and
+    # those of weight 2 are s = 3, 5, 6; the report names the least s
+    counts = verify._syndrome_class_counts
+    for cells, expected in (([(2, 3)], "r=3 t=2 w=3 s=3"),
+                            ([(2, 3), (1, 4)], "r=3 t=2 w=4 s=1")):
+        def inflated(r, t):
+            table = counts(r, t)
+            if (r, t) == (3, 2):
+                for j, w in cells:
+                    table[j, w] += 1 << 20
+            return table
+
+        monkeypatch.setattr(verify, "_syndrome_class_counts", inflated)
+        r = verify.verify_repetition()
+        assert r.status == VIOLATED
+        assert r.counterexample == expected
+        j, w = cells[-1]
+        assert int(r.lhs) == counts(3, 2)[j, w] + (1 << 20)
 
 
 def test_block_code_weights_match_loop():
@@ -259,13 +314,13 @@ def test_block_code_weights_match_loop():
 
 def test_verify_distrib_inequality_reports(monkeypatch):
     shapes = []
-    hist = verify._syndrome_weight_hist
+    counts = verify._syndrome_class_counts
 
-    def spy(x, wts, r, t):
+    def spy(r, t):
         shapes.append(r * t)
-        return hist(x, wts, r, t)
+        return counts(r, t)
 
-    monkeypatch.setattr(verify, "_syndrome_weight_hist", spy)
+    monkeypatch.setattr(verify, "_syndrome_class_counts", spy)
     for seed in (0, 2, 3, 7):
         r = verify.verify_distrib_inequality(seed=seed)
         assert r == LemmaReport(
@@ -278,14 +333,14 @@ def test_verify_distrib_inequality_catches_an_inflated_count(monkeypatch):
     # seed 3 draws r = 2, t = 4, extra = 8 first; the word x1 = 0 of the
     # extra columns carries the repeated-block bucket at (s = 0, w = tr)
     # straight to total weight i = tr = 8
-    hist = verify._syndrome_weight_hist
+    counts = verify._syndrome_class_counts
 
-    def inflated(x, wts, r, t):
-        counts = hist(x, wts, r, t)
-        counts[0, r * t] += 1 << 40
-        return counts
+    def inflated(r, t):
+        table = counts(r, t)
+        table[0, r * t] += 1 << 40
+        return table
 
-    monkeypatch.setattr(verify, "_syndrome_weight_hist", inflated)
+    monkeypatch.setattr(verify, "_syndrome_class_counts", inflated)
     r = verify.verify_distrib_inequality(seed=3)
     assert r.status == VIOLATED
     assert r.counterexample == "trial=0 r=2 t=4 extra=8 i=8"
@@ -396,6 +451,28 @@ def test_level_audit_guards():
             verify_triplesum(p, m, 3, trials=trials)
         with pytest.raises(ValueError):
             verify_triplesum_sweep(p, m, trials=trials)
+
+
+def test_level_audits_reject_a_negative_weight():
+    # n = 9 takes the exact path, n = 25 the sampled one
+    for p, m in ((3, 2), (5, 2)):
+        with pytest.raises(ValueError, match="w must be nonnegative"):
+            verify_triplesum(p, m, -1, trials=5)
+    with pytest.raises(ValueError, match="w must be nonnegative"):
+        verify._sampled_level_reports(5, 2, {-1: Fraction(0)}, 5, 0)
+
+
+def test_enumeration_rejects_n_below_the_floor():
+    for n in (1, 100, verify.CONSTANTS.n_floor - 1):
+        with pytest.raises(ValueError, match="n_floor"):
+            verify.verify_enumeration(n)
+
+
+def test_binomials_by_recurrence_match_comb():
+    for m in (2744, 5488):
+        assert verify._binomials(m, 700) == [math.comb(m, k)
+                                             for k in range(701)]
+    assert verify._binomials(5, 7) == [1, 5, 10, 10, 5, 1, 0, 0]
 
 
 def test_experiment_search_mode():
