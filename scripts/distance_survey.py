@@ -2,7 +2,12 @@
 """Sampled distance survey across several lengths: where do random double
 circulant codes land relative to the volume-argument guarantee?
 
-Usage: python scripts/distance_survey.py [--trials N] [--seed S] [--workers W]
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python scripts/distance_survey.py [--trials N] [--seed S]
+        [--workers W] [--lengths N ...]
+
+or, after `pip install -e .`, the same command without PYTHONPATH=src.
 
 Prints one line per length with the d histogram, the guarantee, and the
 fraction of sampled codes that meet or beat it.

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Run every lemma/bound audit at acceptance scope and write the report.
 
-Usage: python scripts/full_audit.py [outdir] [--trials N] [--seed S]
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python scripts/full_audit.py [outdir] [--trials N]
+        [--seed S]
+
+or, after `pip install -e .`, the same command without PYTHONPATH=src.
 
 Runs `gvdc verify all` and writes OUTDIR/audit.json with its manifest
 sidecar.  Without --seed the audits keep their own default seeds.  Exits 2

@@ -3,17 +3,23 @@
 compare the exact Pr[d <= 4] against the prime-case cap, and confirm codes
 with d >= 5 exist (the volume argument alone only guarantees d >= 4).
 
-Usage: python scripts/p13_exhaustive.py [outdir]
+Usage, from the root of a checkout:
 
-Writes records CSV, summary JSON, and both plot kinds; prints the verdict.
+    PYTHONPATH=src python scripts/p13_exhaustive.py [outdir]
+
+or, after `pip install -e .`, the same command without PYTHONPATH=src.
+
+Writes records CSV, summary JSON, and both plot kinds, then prints the
+verdict from the summary; exits 2 if the exact fraction is above the cap.
 """
 
+import json
 import subprocess
 import sys
 
 
 def run(*argv: str) -> None:
-    proc = subprocess.run(argv)
+    proc = subprocess.run([sys.executable, "-m", "gvdc", *argv])
     if proc.returncode:
         sys.exit(proc.returncode)
 
@@ -21,14 +27,19 @@ def run(*argv: str) -> None:
 def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "results"
     csv = f"{outdir}/p13.csv"
-    run("gvdc", "experiment", "--p", "13", "--exhaustive",
+    run("experiment", "--p", "13", "--exhaustive",
         "--out", csv, "--summary", f"{outdir}/p13.json")
-    run("gvdc", "plot", "--records", csv, "--kind", "histogram",
+    run("plot", "--records", csv, "--kind", "histogram",
         "--out", f"{outdir}/p13_hist.svg")
-    run("gvdc", "plot", "--records", csv, "--kind", "threshold-overlay",
+    run("plot", "--records", csv, "--kind", "threshold-overlay",
         "--out", f"{outdir}/p13_overlay.svg")
-    print(f"done; see {outdir}/p13.json for the exact fraction vs the cap")
-    return 0
+    with open(f"{outdir}/p13.json") as fh:
+        summary = json.load(fh)
+    holds = summary["prob_bound_holds"]
+    print(f"Pr[d <= {summary['threshold']}] = "
+          f"{summary['empirical_le_threshold']} against the cap "
+          f"{summary['prob_bound']}: {'holds' if holds else 'VIOLATED'}")
+    return 0 if holds else 2
 
 
 if __name__ == "__main__":

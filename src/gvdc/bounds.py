@@ -76,13 +76,7 @@ def gv_guarantee(n: int) -> int:
     greatest d with ball_nonzero(2n, d - 1) < 2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = 1 << n
-    total = 0
-    for d in range(0, 2 * n + 1):
-        total += math.comb(2 * n, d)
-        if total - 1 >= target:
-            return d
-    raise AssertionError("ball never reached 2^n")
+    return _largest_w(2 * n, lambda ball: ball < 1 << n) + 1
 
 
 def _largest_w(two_n: int, admissible) -> int:

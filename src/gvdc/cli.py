@@ -45,6 +45,10 @@ SPECTRUM_HEADER = ["i", "A_i"]
 
 _VERIFY_TARGETS = ("all", "cx", "orbit", "triplesum", "repetition",
                    "distrib", "kappa", "enumeration", "c2series")
+# the only targets that read each of these flags
+_VERIFY_FLAG_READERS = {"n": ("cx", "orbit", "enumeration"),
+                        "w": ("orbit", "triplesum"),
+                        "p": ("triplesum",), "m": ("triplesum",)}
 
 
 class UsageError(Exception):
@@ -314,6 +318,8 @@ def cmd_sample(args) -> int:
 def cmd_mindist(args) -> int:
     if args.effort < 1:
         raise UsageError("--effort must be positive")
+    if args.w is not None and not args.search:
+        raise UsageError("--w is a search target; it needs --search")
     a = BitVec(_parse_column(args.a, args.n), args.n)
     code = DoubleCirculantCode(args.n, a)
     if args.search:
@@ -426,6 +432,11 @@ def cmd_verify(args) -> int:
     started = time.time()
     consts, echo = _apply_const_overrides(_const_pairs_from_flags(args.const))
     target = args.target
+    for flag, readers in _VERIFY_FLAG_READERS.items():
+        if getattr(args, flag) is not None and target not in readers:
+            raise UsageError(f"verify {target} does not read --{flag}")
+    if args.m is not None and args.p is None:
+        raise UsageError("--m needs --p")
     if any(v is not None and v < 1 for v in (args.n, args.p, args.m)):
         raise UsageError("--n, --p and --m must be at least 1")
     if args.trials is not None and args.trials < 0:
@@ -434,23 +445,19 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rows = []
     if target in ("all", "cx"):
-        for n in ([args.n] if target == "cx" and args.n is not None
-                  else (3, 5, 7, 9)):
+        for n in [args.n] if args.n is not None else (3, 5, 7, 9):
             rows += _timed(audits.verify_lemma_cx, n)
     if target in ("all", "orbit"):
-        ns = [args.n] if target == "orbit" and args.n is not None else [9, 13]
-        for n in ns:
-            ws = ([args.w] if target == "orbit" and args.w is not None
-                  else range(1, 2 * n + 1))
-            for w in ws:
+        for n in [args.n] if args.n is not None else [9, 13]:
+            for w in [args.w] if args.w is not None else range(1, 2 * n + 1):
                 rows += _timed(audits.verify_orbit_bound, n, w)
     if target in ("all", "triplesum"):
-        if target == "triplesum" and args.p is not None:
+        if args.p is not None:
             families = [(args.p, args.m if args.m is not None else 1)]
         else:
             families = [(3, 2), (13, 1), (5, 2), (3, 3)]
         for p, m in families:
-            if target == "triplesum" and args.w is not None:
+            if args.w is not None:
                 rows += _timed(audits.verify_triplesum, p, m, args.w,
                                trials=trials, seed=seed)
             else:
@@ -464,9 +471,7 @@ def cmd_verify(args) -> int:
     if target in ("all", "kappa"):
         rows += _timed(audits.verify_kappa_numerics, consts)
     if target in ("all", "enumeration"):
-        rows += _timed(audits.verify_enumeration,
-                       args.n if target == "enumeration" else None,
-                       consts=consts)
+        rows += _timed(audits.verify_enumeration, args.n, consts=consts)
     if target in ("all", "c2series"):
         rows += _timed(audits.verify_c2_and_series, consts)
     _print_reports(rows)

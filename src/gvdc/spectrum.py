@@ -117,29 +117,6 @@ def macwilliams_transform(wd: WeightDistribution, dim: int) -> WeightDistributio
     return WeightDistribution(n, tuple(out))
 
 
-def _necklace_positions(n: int, wmax: int | None = None):
-    """Yield (weight, position tuple) for every nonzero binary necklace of
-    length n (least rotation representatives), optionally weight-bounded."""
-    a = [0] * (n + 1)
-    cap = n if wmax is None else wmax
-
-    def gen(t, p, ones):
-        if t > n:
-            if n % p == 0 and ones:
-                yield ones, tuple(i - 1 for i in range(1, n + 1) if a[i])
-        else:
-            # weight never drops along a path, so both caps prune exactly
-            a[t] = a[t - p]
-            if ones + a[t] <= cap:
-                yield from gen(t + 1, p, ones + a[t])
-            if a[t - p] == 0 and ones < cap:
-                a[t] = 1
-                yield from gen(t + 1, t, ones + 1)
-                a[t] = 0
-
-    yield from gen(1, 1, 0)
-
-
 # largest n for which exact distance is offered, by min_distance_exact and
 # by exact-mode experiments
 EXACT_MAX_N = 28
@@ -155,12 +132,29 @@ _BLOCK = 1 << 20
 
 @lru_cache(maxsize=128)
 def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The necklaces of length n and weight exactly t >= 1: a (t, rows)
-    array of their set positions and a (rows,) array of their bits."""
-    rows = [pos for w, pos in _necklace_positions(n, t) if w == t]
+    """The necklaces of length n and weight exactly t >= 1, as least
+    rotations in lexicographic order: a (t, rows) array of their set
+    positions and a (rows,) array of their bits.  A depth-first walk of
+    the prenecklace tree (Fredricksen, Kessler and Maiorana) that drops a
+    branch as soon as weight t is out of its reach."""
+    a, rows = [0] * (n + 1), []
+
+    def walk(s, p, pos):
+        if s > n:
+            if n % p == 0:
+                rows.append(pos)
+            return
+        ones = len(pos)
+        a[s] = bit = a[s - p]
+        if ones + bit <= t <= ones + bit + n - s:
+            walk(s + 1, p, pos + (s - 1,) if bit else pos)
+        if bit == 0 and ones < t <= ones + 1 + n - s:
+            a[s] = 1
+            walk(s + 1, s, pos + (s - 1,))
+
+    walk(1, 1, ())
     idx = np.array(rows, dtype=np.intp).reshape(-1, t).T.copy()
-    bits = np.array([sum(1 << i for i in pos) for pos in rows],
-                    dtype=np.uint64)
+    bits = _xor_gather(np.uint64(1) << np.arange(n, dtype=np.uint64), idx)
     idx.flags.writeable = False
     bits.flags.writeable = False
     return idx, bits

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 from mpmath import mpf, nstr
@@ -42,11 +42,11 @@ INFORMATIVE = "informative-only"
 # two-sided 99% normal quantile for the Wilson score interval
 _WILSON_Z = 2.5758293035489004
 
-# largest n for which the audits enumerate every column (and, for the pair
-# histogram, every message): 2^n codes, 4^n pairs
+# largest n for which the pair histogram enumerates every message: 4^n pairs
 BRUTEFORCE_MAX_N = 14
 
-# largest n for which the distance of every column is tabulated: 2^n codes
+# largest n for which the distance of every column is tabulated (2^n codes),
+# and so the largest n with an exact Pr[d <= w]
 TABLE_MAX_N = 16
 
 
@@ -245,12 +245,18 @@ def _distance_cdf(n: int) -> tuple[int, ...]:
 
 def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
-    of weight <= w."""
-    if n > BRUTEFORCE_MAX_N:
-        raise BudgetExceededError(
-            f"n <= {BRUTEFORCE_MAX_N} for the exhaustive sweep")
+    of weight <= w, read from dc_distance_table (n <= TABLE_MAX_N)."""
     W = min(math.floor(w), 2 * n)
     return Fraction(_distance_cdf(n)[W] if W >= 0 else 0, 1 << n)
+
+
+def _exact_report(lemma: str, params: dict, n: int, w, rhs) -> LemmaReport:
+    """The exact Pr[d <= w] at length n against the bound rhs, which the
+    caller computes first, so a bad input fails before the table is built."""
+    lhs = prob_positive_bruteforce(n, w)
+    bad = None if lhs <= rhs else f"n={n} w={w}"
+    return LemmaReport(lemma, params, VIOLATED if bad else VERIFIED_EXACT,
+                       str(lhs), str(rhs), counterexample=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +289,9 @@ def orbit_bound_value(n: int, w) -> Fraction:
 
 def verify_orbit_bound(n: int, w) -> LemmaReport:
     """Exact comparison of Pr[some nonzero codeword of weight <= w] against
-    the orbit-weighted expectation bound."""
-    lhs = prob_positive_bruteforce(n, w)
-    rhs = orbit_bound_value(n, w)
-    status = VERIFIED_EXACT if lhs <= rhs else VIOLATED
-    return LemmaReport(
-        "orbit-weighted-bound", {"n": n, "w": w}, status,
-        str(lhs), str(rhs),
-        counterexample=None if lhs <= rhs else f"n={n} w={w}")
+    the orbit-weighted expectation bound, for n <= TABLE_MAX_N."""
+    return _exact_report("orbit-weighted-bound", {"n": n, "w": w}, n, w,
+                         orbit_bound_value(n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +304,8 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
     sum_{i+j <= w/p^s} A_i(C) A_j(C) / (|C| n / p^s)."""
     if not is_prime(p) or p == 2 or m < 1:
         raise ValueError("need an odd prime p and m >= 1")
+    if w < 0:
+        raise ValueError("w must be nonnegative")
     n = p**m
     total = Fraction(0)
     for s in range(m):
@@ -355,40 +358,32 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
 def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
                      seed: int = 0) -> LemmaReport:
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
-    Exact for n <= BRUTEFORCE_MAX_N; Monte Carlo with a 99% Wilson upper
-    edge otherwise, reported as evidence only."""
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    n = p**m
+    Exact for n <= TABLE_MAX_N; Monte Carlo with a 99% Wilson upper edge
+    otherwise, reported as evidence only."""
     rhs = triple_sum_value(p, m, w)
-    if n > BRUTEFORCE_MAX_N:
+    if p**m > TABLE_MAX_N:
         return _sampled_level_reports(p, m, {w: rhs}, trials, seed)[0]
-    lhs = prob_positive_bruteforce(n, w)
-    status = VERIFIED_EXACT if lhs <= rhs else VIOLATED
-    return LemmaReport("level-pair-sum-bound", {"p": p, "m": m, "w": w},
-                       status, str(lhs), str(rhs),
-                       counterexample=None if lhs <= rhs else f"n={n} w={w}")
+    return _exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": w},
+                         p**m, w, rhs)
 
 
 def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
                            seed: int = 0) -> list[LemmaReport]:
-    """Level-sum audit across every weight at n = p^m.  Exact for
-    n <= BRUTEFORCE_MAX_N.  Larger n: one Monte Carlo pass shared by every
-    w whose bound is still discriminating."""
-    if not is_prime(p) or p == 2 or m < 1:
-        raise ValueError("need an odd prime p and m >= 1")
+    """Level-sum audit across every weight w = 1..2n at n = p^m: exact for
+    n <= TABLE_MAX_N, else one Monte Carlo pass shared by every w whose
+    bound is still discriminating.  The first bound checks (p, m)."""
     n = p**m
-    if n <= BRUTEFORCE_MAX_N:
-        return [verify_triplesum(p, m, w) for w in range(1, 2 * n + 1)]
     rhs_by_w = {}
-    for w in range(1, 2 * n + 1):
+    for w in count(1):
         rhs = triple_sum_value(p, m, w)
-        if float(rhs) >= _DISCRIMINATING:
+        if w > 2 * n or (n > TABLE_MAX_N and float(rhs) >= _DISCRIMINATING):
             break
         rhs_by_w[w] = rhs
-    if not rhs_by_w:
-        return []
-    return _sampled_level_reports(p, m, rhs_by_w, trials, seed)
+    if n <= TABLE_MAX_N:
+        return [_exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": w},
+                              n, w, rhs) for w, rhs in rhs_by_w.items()]
+    return (_sampled_level_reports(p, m, rhs_by_w, trials, seed)
+            if rhs_by_w else [])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import time
 
 from gvdc import cli
 from gvdc.cli import main
-from gvdc.verify import BRUTEFORCE_MAX_N
+from gvdc.verify import BRUTEFORCE_MAX_N, TABLE_MAX_N
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -127,11 +127,22 @@ def test_expected_agreement_gate():
 
 
 def test_exhaustive_audits_past_their_limit_exit_budget():
-    n = str(BRUTEFORCE_MAX_N + 1)
-    code, _ = run_cli(["verify", "orbit", "--n", n])
+    code, _ = run_cli(["verify", "orbit", "--n", str(TABLE_MAX_N + 1)])
     assert code == 3
-    code, _ = run_cli(["expected", "--n", n, "--w", "3", "--bruteforce"])
+    code, _ = run_cli(["expected", "--n", str(BRUTEFORCE_MAX_N + 1),
+                       "--w", "3", "--bruteforce"])
     assert code == 3
+
+
+def test_verify_orbit_is_exact_up_to_the_table_limit():
+    code, out = run_cli(["verify", "orbit", "--n", "15"])
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if ln.startswith("orbit")]
+    assert len(rows) == 30
+    assert all("verified-exact" in ln for ln in rows)
+    # the bound is computed before the table, so an even n fails at once
+    code, out = run_cli(["verify", "orbit", "--n", "16"])
+    assert code == 1 and out == ""
 
 
 def test_verify_cx_table_and_exit():
@@ -177,6 +188,27 @@ def test_verify_rejects_out_of_range_audit_parameters():
                   "--trials", "5"]):
         code, out = run_cli(["verify", *argv])
         assert code == 1 and out == "", argv
+
+
+def test_flags_a_command_does_not_read_are_usage_errors():
+    for argv in (["verify", "kappa", "--n", "5", "--w", "3"],
+                 ["verify", "all", "--n", "9"],
+                 ["verify", "triplesum", "--n", "9"],
+                 ["verify", "cx", "--w", "3"],
+                 ["verify", "enumeration", "--w", "3"],
+                 ["verify", "orbit", "--p", "3"],
+                 ["verify", "repetition", "--m", "2"],
+                 ["verify", "triplesum", "--m", "1"],
+                 ["verify", "triplesum", "--m", "2", "--w", "3"],
+                 ["mindist", "--n", "3", "--a", "110", "--w", "1"]):
+        code, out = run_cli(argv)
+        assert code == 1 and out == "", argv
+    # the same flags where they are read
+    code, out = run_cli(["mindist", "--n", "3", "--a", "110", "--search",
+                         "--w", "3"])
+    assert code == 0 and out.startswith("d<=3 ")
+    code, out = run_cli(["verify", "orbit", "--n", "5", "--w", "2"])
+    assert code == 0 and "verified-exact" in out
 
 
 def test_verify_sample_and_tr_limits_are_not_flags():

@@ -13,7 +13,7 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
 from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
                           ring_mul_raw)
 from gvdc.spectrum import (WeightDistribution, _min_codeword,
-                           _necklace_positions, dc_weight_distribution,
+                           _necklace_level, dc_weight_distribution,
                            low_weight_search, macwilliams_transform,
                            min_distance_exact, weight_distribution)
 from gvdc.verify import _census_all
@@ -374,11 +374,19 @@ def test_census_weight_matches_spanned_code(bits):
     assert _census_all(n)[spanned.g][u.weight()] >= 1
 
 
-def test_necklace_weight_cap_is_exact():
-    # the capped generator yields exactly the light rows of the uncapped
-    # one, in the same order
-    for n in range(1, 17):
-        full = list(_necklace_positions(n))
-        for wmax in range(n + 1):
-            assert list(_necklace_positions(n, wmax)) == \
-                [row for row in full if row[0] <= wmax]
+def test_necklace_level_is_every_least_rotation_in_order():
+    # brute force: bit string a[1..n] is a necklace when no rotation of it
+    # is lexicographically smaller; fixed-width binary counts up in
+    # lexicographic order
+    for n in range(1, 15):
+        words = [format(x, f"0{n}b") for x in range(1, 1 << n)]
+        necklaces = [s for s in words
+                     if all(s <= s[j:] + s[:j] for j in range(1, n))]
+        for t in range(1, n + 1):
+            rows = [[i for i, c in enumerate(s) if c == "1"]
+                    for s in necklaces if s.count("1") == t]
+            idx, bits = _necklace_level(n, t)
+            assert idx.shape == (t, len(rows))
+            assert idx.T.tolist() == rows
+            assert bits.tolist() == [sum(1 << i for i in row) for row in rows]
+            assert not idx.flags.writeable and not bits.flags.writeable

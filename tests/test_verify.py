@@ -179,6 +179,12 @@ def test_triple_sum_value_hand_case():
     assert triple_sum_value(13, 1, 0) >= 0
 
 
+def test_triple_sum_value_rejects_a_negative_weight():
+    for p, m, w in ((5, 2, -1), (3, 2, -3)):
+        with pytest.raises(ValueError, match="w must be nonnegative"):
+            triple_sum_value(p, m, w)
+
+
 def test_triple_sum_dominates_exact_probability():
     for p, m in ((3, 1), (3, 2), (13, 1)):
         n = p**m
