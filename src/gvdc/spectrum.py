@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -137,12 +139,14 @@ def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     positions and a (rows,) array of their bits.  A depth-first walk of
     the prenecklace tree (Fredricksen, Kessler and Maiorana) that drops a
     branch as soon as weight t is out of its reach."""
-    a, rows = [0] * (n + 1), []
+    # one byte per position: _min_codeword packs a word in a uint64, so
+    # n <= 64
+    a, rows = [0] * (n + 1), array("B")
 
     def walk(s, p, pos):
         if s > n:
             if n % p == 0:
-                rows.append(pos)
+                rows.extend(pos)
             return
         ones = len(pos)
         a[s] = bit = a[s - p]
@@ -153,7 +157,8 @@ def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
             walk(s + 1, s, pos + (s - 1,))
 
     walk(1, 1, ())
-    idx = np.array(rows, dtype=np.intp).reshape(-1, t).T.copy()
+    idx = np.frombuffer(rows, dtype=np.uint8).reshape(-1, t).T.astype(
+        np.intp, order="C")
     bits = _xor_gather(np.uint64(1) << np.arange(n, dtype=np.uint64), idx)
     idx.flags.writeable = False
     bits.flags.writeable = False
@@ -339,6 +344,82 @@ def _lightest_reduced_row(gen: np.ndarray,
     return int(wts[r, j]), sum(int(v) << (64 * k) for k, v in enumerate(row))
 
 
+# A draw of the search's column orders is written as one code point,
+# _PLANE + its top bits: from plane 1 up, so no code point is a regex
+# metacharacter, a surrogate or NUL, and 2n < 2^20 fits below 0x10FFFF.
+# The generator alone takes n^2 / 4 bytes, 64 GiB at that n.
+_PLANE = 0x10000
+SEARCH_MAX_N = (1 << 19) - 1
+
+
+@lru_cache(maxsize=8)
+def _sample_pattern(m: int) -> re.Pattern:
+    """A pattern whose match at the start of a string of 32-bit outputs,
+    each written as _PLANE + its top m.bit_length() bits, reads the outputs
+    of one rng.sample(range(m), m): group i + 1 is the output draw i takes.
+
+    Draw i is randbelow(j) with j = m - i: it takes the top
+    k = j.bit_length() bits of an output and draws again while they are
+    >= j.  On the top b = m.bit_length() bits that is: an output is
+    taken when below j << (b - k), else skipped."""
+    b = m.bit_length()
+    top = chr(_PLANE + (1 << b) - 1)
+    steps = []
+    for j in range(m, 0, -1):
+        cut = _PLANE + (j << (b - j.bit_length()))
+        steps.append(f"[{chr(cut)}-{top}]*([{chr(_PLANE)}-{chr(cut - 1)}])")
+    return re.compile("".join(steps))
+
+
+def _column_orders(rng: random.Random, m: int, rounds: int, per_block: int):
+    """Yield the column orders of `rounds` rounds in blocks of at most
+    per_block rounds, each block an array of (rounds in block, m); row i
+    of all blocks together is the i-th rng.sample(range(m), m).
+
+    The outputs are drawn in bulk: rng.getrandbits(32 * count) holds count
+    32-bit outputs, the first in its lowest bits, in the order sample's
+    randbelow calls would take them.  One match of _sample_pattern(m) per
+    round picks out its draws; outputs a block does not reach carry over
+    to the next.  Then sample's pool steps run on all rounds of the block
+    at once.  rng ends past the last output drawn, not the last used."""
+    pattern = _sample_pattern(m)
+    b = m.bit_length()
+    shift = np.array([b - j.bit_length() for j in range(m, 0, -1)],
+                     dtype=np.uint32)
+    # outputs per round on average: randbelow(j) takes 2^k / j of them
+    mean = sum((1 << j.bit_length()) / j for j in range(1, m + 1))
+    dtype = np.min_scalar_type(m - 1)
+    text, pos = "", 0
+    for start in range(0, rounds, per_block):
+        count = min(per_block, rounds - start)
+        draws = np.empty((count, m), dtype=np.uint32)
+        for i in range(count):
+            while (match := pattern.match(text, pos)) is None:
+                # what the rest of the block takes on average, 5% over,
+                # and at most 2^16 outputs at a time
+                more = min(int(mean * (count - i) * 1.05) + 64, 1 << 16)
+                tops = np.frombuffer(rng.getrandbits(32 * more).to_bytes(
+                    4 * more, "little"), dtype="<u4") >> np.uint32(32 - b)
+                text = text[pos:] + (tops + np.uint32(_PLANE)).astype(
+                    "<u4").tobytes().decode("utf-32-le")
+                pos = 0
+            draws[i] = np.frombuffer("".join(match.groups()).encode(
+                "utf-32-le"), dtype="<u4")
+            pos = match.end()
+        draws -= np.uint32(_PLANE)
+        draws >>= shift
+        # draw i takes pool[r] and moves pool[m - 1 - i], the last of the
+        # m - i left, into its place; pool is (m, count), flat
+        pool = np.repeat(np.arange(m, dtype=dtype), count)
+        last = pool.reshape(m, count)
+        at = draws.T * np.intp(count) + np.arange(count)
+        perm = np.empty((m, count), dtype=dtype)
+        for i in range(m):
+            perm[i] = pool.take(at[i])
+            pool.put(at[i], last[m - 1 - i])
+        yield perm.T
+
+
 def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
                       seed: int = 0) -> DistanceResult | None:
     """Randomized information-set search for a codeword of weight <= w.
@@ -350,6 +431,11 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     strict improvement: generator rows, then rounds in order.  Finding
     nothing proves nothing.  Deterministic for a fixed seed.
 
+    Round i's column order is the i-th rng.sample(range(2n), 2n) of
+    rng = random.Random(seed).  _column_orders replays those samples from
+    bulk draws of the same generator, so the orders, and every value and
+    witness, are sample's; the replay bounds n by SEARCH_MAX_N.
+
     Rounds are eliminated together, in blocks of at most _BLOCK
     (rounds x words x n) entries, so memory stays flat in effort.  This
     cannot change a value or a witness.  A round's pivots are the first n
@@ -357,7 +443,11 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     row each pivot is taken from, and after elimination the row of pivot
     p is the unique codeword with a 1 at p and 0 at every other pivot."""
     n = code.n
-    rng = random.Random(seed)
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    if n > SEARCH_MAX_N:
+        raise BudgetExceededError(
+            f"search is offered for n <= {SEARCH_MAX_N}, not n = {n}")
     rows0 = code.generator_rows()
     best = None
     best_wt = 2 * n + 1
@@ -371,15 +461,9 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     nw = (2 * n + 63) // 64
     gen = np.array([[(r >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for r in rows0]
                     for k in range(nw)], dtype=np.uint64)
-    cols = list(range(2 * n))
-    rounds = max(1, effort)
     per_block = max(1, _BLOCK // (n * nw))
-    for start in range(0, rounds, per_block):
-        # the smallest dtype that holds a column keeps the block small
-        perm = np.empty((min(per_block, rounds - start), 2 * n),
-                        dtype=np.min_scalar_type(2 * n - 1))
-        for row in perm:
-            row[:] = rng.sample(cols, len(cols))
+    for perm in _column_orders(random.Random(seed), 2 * n, max(1, effort),
+                               per_block):
         wt, word = _lightest_reduced_row(gen, perm)
         if wt < best_wt:
             best_wt, best = wt, word

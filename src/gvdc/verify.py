@@ -30,8 +30,8 @@ from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     nonrepetition_codes, _rotl)
 from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
-from .spectrum import (EXACT_MAX_N, _gray_weights, _min_codeword,
-                       low_weight_search, min_distance_exact,
+from .spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _gray_weights,
+                       _min_codeword, low_weight_search, min_distance_exact,
                        weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
@@ -694,7 +694,8 @@ def experiment_distance(n: int | None = None, p: int | None = None,
 
     Exact mode records each code's exact minimum distance; search mode
     records the best randomized witness at or below search_weight, which
-    defaults to the volume-argument guarantee.  Records are identical for
+    must be nonnegative and defaults to the volume-argument guarantee;
+    search mode takes n <= SEARCH_MAX_N.  Records are identical for
     any worker count.  A max_seconds budget stops scheduling further
     trials and marks the summary truncated; finished trials are kept.
 
@@ -715,9 +716,14 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         raise ValueError("effort must be positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if search_weight is not None and search_weight < 0:
+        raise ValueError("search weight must be nonnegative")
     if mode == "exact" and n > EXACT_MAX_N:
         raise BudgetExceededError(
             f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")
+    if mode == "search" and n > SEARCH_MAX_N:
+        raise BudgetExceededError(
+            f"search mode is offered for n <= {SEARCH_MAX_N}, not n = {n}")
     gv = bounds.gv_guarantee(n)
     kind, threshold = _resolve_threshold(n, consts)
     if search_weight is None:

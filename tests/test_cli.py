@@ -301,6 +301,26 @@ def test_experiment_usage_errors(tmp_path):
         assert code == 1 and out == "" and not out_csv.exists(), argv
 
 
+def test_negative_search_weight_is_usage_error(tmp_path):
+    search = ["mindist", "--n", "13", "--a", "0x1b3", "--search"]
+    code, out = run_cli(search + ["--w", "-1"])
+    assert code == 1 and out == ""
+    code, out = run_cli(search + ["--w", "0", "--effort", "1"])
+    assert code == 0 and out == "no codeword of weight <= 0 found\n"
+
+    out_csv = tmp_path / "runs.csv"
+    out_json = tmp_path / "summary.json"
+    base = ["experiment", "--n", "13", "--mode", "search", "--trials", "2",
+            "--effort", "1", "--out", str(out_csv), "--summary",
+            str(out_json)]
+    code, out = run_cli(base + ["--w", "-3"])
+    assert code == 1 and out == ""
+    assert not out_csv.exists() and not out_json.exists()
+    assert not list(tmp_path.iterdir())
+    code, out = run_cli(base + ["--w", "0"])
+    assert code == 0 and json.loads(out)["none_found"] == 2
+
+
 def test_experiment_worker_count_leaves_no_trace(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

@@ -12,10 +12,11 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         dc_contains, dc_sample, divisor_codes)
 from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
                           ring_mul_raw)
-from gvdc.spectrum import (WeightDistribution, _min_codeword,
-                           _necklace_level, dc_weight_distribution,
-                           low_weight_search, macwilliams_transform,
-                           min_distance_exact, weight_distribution)
+from gvdc.spectrum import (SEARCH_MAX_N, WeightDistribution,
+                           _column_orders, _min_codeword, _necklace_level,
+                           dc_weight_distribution, low_weight_search,
+                           macwilliams_transform, min_distance_exact,
+                           weight_distribution)
 from gvdc.verify import _census_all
 
 
@@ -324,10 +325,39 @@ def test_low_weight_search_matches_scalar_reference(monkeypatch):
             assert dc_contains(code, got.witness)
             assert low_weight_search(code, ref.value - 1, effort,
                                      seed) is None
-            # seven rounds to a block: one call spans several blocks
-            with monkeypatch.context() as m:
-                m.setattr(spectrum, "_BLOCK", 7 * n * words)
-                assert low_weight_search(code, 2 * n, effort, seed) == ref
+            # seven rounds, or one, to a block: one call spans several
+            for per_block in (7, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(spectrum, "_BLOCK", per_block * n * words)
+                    assert low_weight_search(code, 2 * n, effort,
+                                             seed) == ref
+
+
+def test_column_orders_are_rng_sample():
+    # randbelow's width steps at every power of two: 255, 256 and 257
+    # straddle one, and 1000 takes ten bits
+    for m in [*range(2, 131), 255, 256, 257, 1000]:
+        for seed in (0, 1, 2**64 + 3):
+            rng = random.Random(seed)
+            want = [rng.sample(range(m), m) for _ in range(9)]
+            for per_block in (1, 7, 9):
+                blocks = list(_column_orders(random.Random(seed), m, 9,
+                                             per_block))
+                assert [len(b) for b in blocks] == \
+                    [min(per_block, 9 - i) for i in range(0, 9, per_block)]
+                got = [row.tolist() for b in blocks for row in b]
+                assert got == want, (m, seed, per_block)
+
+
+def test_low_weight_search_weight_and_length_limits():
+    code = DoubleCirculantCode(13, BitVec(0x1b3, 13))
+    with pytest.raises(ValueError, match="nonnegative"):
+        low_weight_search(code, -1, effort=1)
+    # no codeword has weight 0, so w = 0 is legal and finds nothing
+    assert low_weight_search(code, 0, effort=1) is None
+    n = SEARCH_MAX_N + 1
+    with pytest.raises(BudgetExceededError, match="n <= "):
+        low_weight_search(DoubleCirculantCode(n, BitVec(1, n)), 2 * n)
 
 
 def test_low_weight_search_none_when_impossible():

@@ -13,7 +13,7 @@ from gvdc import verify
 from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
                         dc_sample)
 from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
-from gvdc.spectrum import min_distance_exact
+from gvdc.spectrum import SEARCH_MAX_N, min_distance_exact
 from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
                          VERIFIED_NUMERIC, VIOLATED, LemmaReport,
                          dc_distance_table, expected_count_bruteforce,
@@ -414,6 +414,16 @@ def test_experiment_seed_and_worker_invariance():
                   effort=20)
     assert experiment_distance(**search) == \
         experiment_distance(**search, workers=3)
+
+
+def test_experiment_search_weight_and_length_limits():
+    with pytest.raises(ValueError, match="nonnegative"):
+        experiment_distance(n=13, trials=2, mode="search", search_weight=-3)
+    _, summary = experiment_distance(n=13, trials=2, mode="search",
+                                     search_weight=0, effort=1)
+    assert summary["none_found"] == 2
+    with pytest.raises(BudgetExceededError, match="search mode"):
+        experiment_distance(n=SEARCH_MAX_N + 1, trials=1, mode="search")
 
 
 def test_experiment_vacuous_and_exhaustive_flags():
