@@ -105,22 +105,13 @@ def simple_threshold(p: int) -> int:
     return _largest_w(2 * p, lambda ball: 2 * ball < cap)
 
 
-def main_threshold(n: int, b=None) -> int:
-    """Largest w with ball_nonzero(2n, w) <= b n 2^n.  b defaults to the
-    audited ball fraction; floats are read at decimal face value."""
+def main_threshold(n: int, consts: ProofConstants = CONSTANTS) -> int:
+    """Largest w with ball_nonzero(2n, w) <= b n 2^n, b =
+    consts.ball_fraction."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    frac = _as_fraction(CONSTANTS.ball_fraction if b is None else b)
-    cap = frac * n * (1 << n)
+    cap = consts.ball_fraction * n * (1 << n)
     return _largest_w(2 * n, lambda ball: ball <= cap)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
 
 
 def _entropy_mp(x: mpf) -> mpf:
@@ -168,20 +159,12 @@ def _tail_exponent(i: mpf, t: int):
     return f
 
 
-def weight_tail_exponent(alpha, iota, copies: int = CONSTANTS.copies) -> mpf:
-    """log2(1 + (1 - 2 alpha)^t) - t D(alpha || iota) for alpha <= iota <= 1/2."""
-    a, i = mpf(str(alpha)), mpf(str(iota))
-    if not 0 <= a <= i or i > mpf("0.5"):
-        raise ValueError("need 0 <= alpha <= iota <= 1/2")
-    return _tail_exponent(i, copies)(a)
-
-
 def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
-                             grid: int = 10_000, detail: bool = False):
-    """Maximum of weight_tail_exponent over alpha in [0, iota]: the best of
-    the grid points alpha_k = iota k / grid, then ternary refinement to
-    width 1e-9 around it.  With detail=True returns (value, grid max,
-    refinement gap).
+                             grid: int = 10_000) -> tuple[mpf, mpf, mpf]:
+    """Maximum of the tail exponent over alpha in [0, iota], as (value,
+    grid max, refinement gap): the best of the grid points
+    alpha_k = iota k / grid, then ternary refinement to width 1e-9 around
+    it.
 
     The grid is screened in float64 first.  Writing f for the tail
     exponent, one numpy pass gives g_k with |g_k - f(alpha_k)| <= e for
@@ -224,10 +207,7 @@ def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
         else:
             hi = m2
     refined = f((lo + hi) / 2)
-    value = max(best, refined)
-    if detail:
-        return value, best, refined - best
-    return value
+    return max(best, refined), best, refined - best
 
 
 def overhead_exponent_cap(p: int) -> mpf:
@@ -291,6 +271,5 @@ def simple_prob_bound(p: int, w) -> Fraction:
 def ball_rate_ok(n: int, consts: ProofConstants = CONSTANTS) -> bool:
     """Whether |B_2n(2 K n)| <= 2^n, K = consts.omega_floor, the side
     condition of the pair-sum cap."""
-    K = _as_fraction(consts.omega_floor)
-    w = math.floor(2 * K * n)
+    w = math.floor(2 * consts.omega_floor * n)
     return volume(2 * n, w) <= 1 << n

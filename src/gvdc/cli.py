@@ -130,8 +130,6 @@ def _apply_const_overrides(pairs: dict[str, str]) -> tuple[ProofConstants, dict]
         try:
             if isinstance(current, Fraction):
                 typed[name] = Fraction(raw)
-            elif isinstance(current, bool):
-                typed[name] = _parse_bool(raw)
             elif isinstance(current, int):
                 typed[name] = int(raw)
             else:
@@ -283,7 +281,7 @@ def cmd_thresholds(args) -> int:
         except ValueError:
             simple = None
         rows.append([n, bounds.gv_guarantee(n), simple,
-                     bounds.main_threshold(n, b=consts.ball_fraction)])
+                     bounds.main_threshold(n, consts)])
     config = {"n": args.n, "from": args.start, "to": args.end, **echo}
     config = {k: v for k, v in config.items() if v is not None}
     _deliver_csv(args.out, "thresholds", config, THRESHOLDS_HEADER, rows,
@@ -538,6 +536,10 @@ def cmd_experiment(args) -> int:
                 raise UsageError(f"GVDC_WORKERS must be an integer, got {env!r}")
     if settings.get("n") is None and settings.get("p") is None:
         raise UsageError("give --n, or --p (optionally with --m)")
+    # experiment_distance rejects a search weight in exact mode itself, but
+    # cannot tell a given effort from its default
+    if "effort" in settings and settings.get("mode", "exact") == "exact":
+        raise UsageError("effort is a search-mode setting")
     records, summary = audits.experiment_distance(
         **{"search_weight" if k == "w" else k: v
            for k, v in settings.items() if k not in ("out", "summary")},
@@ -788,9 +790,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--a", required=True,
                     help="circulant column: bitstring (char i = coord i) or 0x hex")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--search", action="store_true", default=False)
+    sp.add_argument("--search", action="store_true")
     sp.add_argument("--w", type=int, help="search target weight")
     sp.add_argument("--effort", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)

@@ -66,42 +66,6 @@ def xgcd_raw(a: int, m: int) -> tuple[int, int]:
     return r0, s0
 
 
-def is_irreducible_raw(p: int) -> bool:
-    """Rabin test: p of degree d is irreducible iff Z^(2^d) = Z mod p and
-    gcd(Z^(2^(d/q)) - Z, p) = 1 for every prime q dividing d."""
-    d = degree(p)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if not (p & 1):
-        return False  # divisible by Z
-    x = 2  # the polynomial Z
-    cur = x
-    powers = {}
-    for i in range(1, d + 1):
-        cur = mod_raw(mul_raw(cur, cur), p)
-        powers[i] = cur
-    if powers[d] != x:
-        return False
-    dd = d
-    q = 2
-    while q * q <= dd:
-        if dd % q == 0:
-            if gcd_raw(powers[d // q] ^ x, p) != 1:
-                return False
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1 and dd != d:
-        if gcd_raw(powers[d // dd] ^ x, p) != 1:
-            return False
-    if dd == d and d > 1:
-        if gcd_raw(powers[1] ^ x, p) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Poly:
     """Residue class in F2[Z]/(Z^n + 1)."""

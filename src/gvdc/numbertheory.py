@@ -10,6 +10,9 @@ from .gf2poly import BudgetExceededError
 # deterministic Miller-Rabin witness set, valid for all n < 3.3e24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# odd candidates next_kasami_prime examines before it gives up
+_KASAMI_SCAN_MAX = 100_000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact below 2^64."""
@@ -103,17 +106,15 @@ def kasami_check(p: int) -> KasamiReport:
                         prime and primitive and wieferich_ok)
 
 
-def next_kasami_prime(start: int, budget: int = 100_000) -> int:
+def next_kasami_prime(start: int) -> int:
     """Smallest p >= max(start, 3) passing kasami_check, scanning at most
-    `budget` candidates."""
+    _KASAMI_SCAN_MAX odd candidates."""
     p = max(start, 3)
     if p % 2 == 0:
         p += 1
-    examined = 0
-    while examined < budget:
+    for _ in range(_KASAMI_SCAN_MAX):
         if kasami_check(p).kasami:
             return p
         p += 2
-        examined += 1
-    raise BudgetExceededError(
-        f"no qualifying prime within {budget} candidates from {start}")
+    raise BudgetExceededError(f"no qualifying prime within "
+                              f"{_KASAMI_SCAN_MAX} candidates from {start}")

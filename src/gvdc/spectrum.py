@@ -60,30 +60,21 @@ def _gray_weights(basis: list[int], n: int) -> list[int]:
 ENUM_MAX_DIM = 26
 
 
-def weight_distribution(code: CyclicCode,
-                        route: str = "auto") -> WeightDistribution:
-    """Exact weight distribution of a cyclic code.
-
-    route picks the enumeration side: "direct" spans the code itself,
-    "dual" spans the dual and transforms back, "auto" takes the smaller."""
+def weight_distribution(code: CyclicCode) -> WeightDistribution:
+    """Exact weight distribution of a cyclic code, by enumerating whichever
+    of the code and its dual has the smaller dimension."""
     n = code.n
     dim = code.dim
     codim = n - dim
-    if route == "auto":
-        route = "direct" if dim <= codim else "dual"
-    if route == "direct":
-        if dim > ENUM_MAX_DIM:
-            raise BudgetExceededError(
-                f"dimension {dim} exceeds enumeration limit {ENUM_MAX_DIM}")
+    if min(dim, codim) > ENUM_MAX_DIM:
+        raise BudgetExceededError(
+            f"dimension {dim} and codimension {codim} both exceed "
+            f"enumeration limit {ENUM_MAX_DIM}")
+    if dim <= codim:
         return WeightDistribution(n, tuple(_gray_weights(code.basis(), n)))
-    if route == "dual":
-        if codim > ENUM_MAX_DIM:
-            raise BudgetExceededError(
-                f"codimension {codim} exceeds enumeration limit {ENUM_MAX_DIM}")
-        dual = code.dual()
-        dual_wd = WeightDistribution(n, tuple(_gray_weights(dual.basis(), n)))
-        return macwilliams_transform(dual_wd, dual.dim)
-    raise ValueError(f"unknown route {route!r}")
+    dual = code.dual()
+    dual_wd = WeightDistribution(n, tuple(_gray_weights(dual.basis(), n)))
+    return macwilliams_transform(dual_wd, dual.dim)
 
 
 @lru_cache(maxsize=64)

@@ -180,10 +180,16 @@ def verify_lemma_cx(n: int) -> LemmaReport:
 # expected codeword counts
 
 
+def _check_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, not {n}")
+
+
 def expected_count_exact(n: int, w) -> Fraction:
     """E[number of nonzero codewords of weight <= w] over a uniform column,
     from the divisor-lattice census: sum over codes D and generator weights
     j of census_j(D) * |{v in D : wt(v) <= w - j}| / |D|, zero word removed."""
+    _check_length(n)
     W = min(math.floor(w), 2 * n)
     if W < 0:
         raise ValueError("w must be nonnegative")
@@ -214,7 +220,10 @@ def _bruteforce_pair_hist(n: int) -> tuple[int, ...]:
 def expected_count_bruteforce(n: int, w) -> Fraction:
     """Same expectation as expected_count_exact, by enumerating every
     column and every message."""
+    _check_length(n)
     W = min(math.floor(w), 2 * n)
+    if W < 0:
+        raise ValueError("w must be nonnegative")
     hist = _bruteforce_pair_hist(n)
     return Fraction(sum(hist[: W + 1]), 1 << n)
 
@@ -246,6 +255,7 @@ def _distance_cdf(n: int) -> tuple[int, ...]:
 def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
     of weight <= w, read from dc_distance_table (n <= TABLE_MAX_N)."""
+    _check_length(n)
     W = min(math.floor(w), 2 * n)
     return Fraction(_distance_cdf(n)[W] if W >= 0 else 0, 1 << n)
 
@@ -281,6 +291,7 @@ def orbit_bound_value(n: int, w) -> Fraction:
     exactly as often as (u, v) is one at length e, so the sum over the
     words fixed by rotation j is the expected count at length e and
     weight cap floor(W / (n / e))."""
+    _check_length(n)
     W = min(math.floor(w), 2 * n)
     periods = Counter(math.gcd(j, n) for j in range(n))
     return sum((k * expected_count_exact(e, W // (n // e))
@@ -547,7 +558,7 @@ def verify_kappa_numerics(consts: ProofConstants = CONSTANTS) -> LemmaReport:
                                f"t^3={consts.copies ** 3}", f"p={p}",
                                counterexample=f"p={p}")
     fval, grid_max, gap = bounds.max_weight_tail_exponent(
-        consts.kappa, consts.copies, detail=True)
+        consts.kappa, consts.copies)
     checks = [
         (fval <= mpf(str(consts.f_cap)), f"f={nstr(fval, 10)} <= {consts.f_cap}"),
         (abs(gap) < mpf("1e-7"), f"grid refinement gap {nstr(gap, 3)}"),
@@ -659,7 +670,7 @@ def _resolve_threshold(n: int,
     try:
         return "simple", bounds.simple_threshold(n)
     except ValueError:
-        return "main", bounds.main_threshold(n, b=consts.ball_fraction)
+        return "main", bounds.main_threshold(n, consts)
 
 
 def _run_trial_block(args) -> list[tuple]:
@@ -695,7 +706,8 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     Exact mode records each code's exact minimum distance; search mode
     records the best randomized witness at or below search_weight, which
     must be nonnegative and defaults to the volume-argument guarantee;
-    search mode takes n <= SEARCH_MAX_N.  Records are identical for
+    search mode takes n <= SEARCH_MAX_N, and only it takes search_weight.
+    workers must be at least 1.  Records are identical for
     any worker count.  A max_seconds budget stops scheduling further
     trials and marks the summary truncated; finished trials are kept.
 
@@ -718,6 +730,10 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         raise ValueError("trials must be nonnegative")
     if search_weight is not None and search_weight < 0:
         raise ValueError("search weight must be nonnegative")
+    if search_weight is not None and mode == "exact":
+        raise ValueError("a search weight is a search-mode setting")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if mode == "exact" and n > EXACT_MAX_N:
         raise BudgetExceededError(
             f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")

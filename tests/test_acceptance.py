@@ -158,7 +158,7 @@ def test_criterion_08_tail_exponent_numerics(capsys):
     ok = primes == [2749, 2753, 2767, 2777, 2789, 2791, 2797, 2801,
                     2803, 2819]
     ok &= all(float(overhead_exponent_cap(p)) < 0.152 for p in primes)
-    f_val, _, gap = max_weight_tail_exponent(CONSTANTS.kappa, detail=True)
+    f_val, _, gap = max_weight_tail_exponent(CONSTANTS.kappa)
     ok &= float(f_val) <= 0.24
     ok &= 0 <= float(gap) < 1e-7
     ok &= 0.152 + 0.24 <= 0.4

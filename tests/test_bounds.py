@@ -15,8 +15,7 @@ from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp,
                          level_series_bound, main_threshold,
                          max_weight_tail_exponent, overhead_exponent_cap,
                          repetition_bound, simple_prob_bound,
-                         simple_threshold, stirling_lower, volume,
-                         weight_tail_exponent)
+                         simple_threshold, stirling_lower, volume)
 
 
 def test_volume_is_partial_binomial_sum():
@@ -68,10 +67,8 @@ def test_simple_prob_bound_values():
 
 
 def test_main_threshold_values():
-    assert main_threshold(2789, b=0.23) == 618
+    assert main_threshold(2789) == 618
     assert main_threshold(13) == 4
-    # default fraction comes from the constant pool
-    assert main_threshold(2789) == main_threshold(2789, b=0.23)
     # defining property: largest w whose nonzero ball fits under b n 2^n
     cap = Fraction(23, 100) * 2789 * 2**2789
     assert ball_nonzero(2 * 2789, 618) <= cap
@@ -86,8 +83,9 @@ def test_entropy_and_kl():
     assert abs(symmetric) < mpf("1e-35")
     # D(a || i) = 0 at a = i and > 0 elsewhere, read off the tail exponent
     # log2(1 + (1 - 2a)^t) - t D(a || i)
-    assert weight_tail_exponent(0.5, 0.5) == 0
-    assert weight_tail_exponent(0.3, 0.5) < log(1 + mpf("0.4") ** 14, 2)
+    half = bounds._tail_exponent(mpf("0.5"), 14)
+    assert half(mpf("0.5")) == 0
+    assert half(mpf("0.3")) < log(1 + mpf("0.4") ** 14, 2)
 
 
 def test_stirling_lower_bounds_binomials():
@@ -106,7 +104,7 @@ def test_repetition_bound_values():
 
 def test_weight_tail_exponent_cap():
     full, grid_max, gap = max_weight_tail_exponent(
-        CONSTANTS.kappa, copies=CONSTANTS.copies, detail=True
+        CONSTANTS.kappa, copies=CONSTANTS.copies
     )
     assert float(full) <= CONSTANTS.f_cap
     assert 0 <= float(gap) < 1e-7
@@ -115,10 +113,9 @@ def test_weight_tail_exponent_cap():
     assert nstr(full, 10) == "0.2313956367"
     assert nstr(gap, 3) == "6.19e-10"
     # single-point evaluations stay below the maximized value
-    for alpha in (0.0, 0.01, 0.03, 0.05, 0.07):
-        assert weight_tail_exponent(alpha, CONSTANTS.kappa) <= full + 1e-30
-    with pytest.raises(ValueError):
-        weight_tail_exponent(0.2, CONSTANTS.kappa)  # alpha beyond iota
+    f = bounds._tail_exponent(mpf(str(CONSTANTS.kappa)), CONSTANTS.copies)
+    for alpha in ("0", "0.01", "0.03", "0.05", "0.07"):
+        assert f(mpf(alpha)) <= full + 1e-30
 
 
 def _full_scan_tail_max(iota, copies, grid):
@@ -154,7 +151,7 @@ def test_screened_tail_max_matches_full_scan(monkeypatch):
              for grid in (100, 1000)]
     cases += [("0.3", 3, 1000), ("0.5", 1, 1000)]
     for iota, t, grid in cases:
-        assert max_weight_tail_exponent(iota, t, grid, detail=True) == \
+        assert max_weight_tail_exponent(iota, t, grid) == \
             _full_scan_tail_max(iota, t, grid)[0], (iota, t, grid)
     # at the audited parameters, counting the mpmath evaluations
     calls = []
@@ -171,7 +168,7 @@ def test_screened_tail_max_matches_full_scan(monkeypatch):
     i, t, grid = mpf(str(CONSTANTS.kappa)), CONSTANTS.copies, 10_000
     expected, values = _full_scan_tail_max(i, t, grid)
     monkeypatch.setattr(bounds, "_tail_exponent", counting)
-    assert max_weight_tail_exponent(i, t, grid, detail=True) == expected
+    assert max_weight_tail_exponent(i, t, grid) == expected
     assert len(calls) < 200
     # the screen keeps every grid point near the top, not just one
     top = [i * k / grid for k, v in enumerate(values)
@@ -181,13 +178,14 @@ def test_screened_tail_max_matches_full_scan(monkeypatch):
 
 def test_weight_tail_exponent_matches_textbook_formula():
     t, iota = CONSTANTS.copies, mpf("0.07")
+    f = bounds._tail_exponent(mpf(str(CONSTANTS.kappa)), t)
     for alpha in ("0", "0.01", "0.0454", "0.07"):
         a = mpf(alpha)
         kl = (1 - a) * log((1 - a) / (1 - iota), 2)
         if a > 0:
             kl += a * log(a / iota, 2)
         textbook = log(1 + (1 - 2 * a) ** t, 2) - t * kl
-        got = weight_tail_exponent(alpha, CONSTANTS.kappa)
+        got = f(a)
         assert abs(got - textbook) < mpf("1e-35")
 
 
@@ -247,10 +245,11 @@ def test_constants_are_frozen():
 
 def test_custom_constants_flow_through():
     loose = ProofConstants(ball_fraction=Fraction(1, 10))
-    w = main_threshold(100, b=float(loose.ball_fraction))
+    w = main_threshold(100, loose)
     cap = Fraction(1, 10) * 100 * 2**100
     assert ball_nonzero(200, w) <= cap < ball_nonzero(200, w + 1)
-    assert w <= main_threshold(100, b=0.23) < main_threshold(100, b=10**9)
+    huge = ProofConstants(ball_fraction=Fraction(10**9))
+    assert w <= main_threshold(100) < main_threshold(100, huge)
 
 
 @settings(max_examples=100, deadline=None)

@@ -98,7 +98,7 @@ def test_mindist_json_and_budget():
     doc = json.loads(out)
     assert doc["d"] == 3 and doc["exact"] is True
 
-    code, _ = run_cli(["mindist", "--n", "29", "--a", "0x1", "--exact"])
+    code, _ = run_cli(["mindist", "--n", "29", "--a", "0x1"])
     assert code == 3  # enumeration budget
 
 
@@ -319,6 +319,37 @@ def test_negative_search_weight_is_usage_error(tmp_path):
     assert not list(tmp_path.iterdir())
     code, out = run_cli(base + ["--w", "0"])
     assert code == 0 and json.loads(out)["none_found"] == 2
+
+
+def test_search_settings_in_exact_mode_are_usage_errors(tmp_path):
+    out_csv = tmp_path / "runs.csv"
+    cfg = tmp_path / "exp.cfg"
+    base = ["experiment", "--n", "9", "--trials", "2", "--out", str(out_csv)]
+    for key, value in (("w", "5"), ("effort", "7")):
+        cfg.write_text(f"{key} = {value}\n")
+        for extra in (["--mode", "exact", f"--{key}", value],
+                      [f"--{key}", value],
+                      ["--config", str(cfg)]):
+            code, out = run_cli(base + extra)
+            assert code == 1 and out == "" and not out_csv.exists(), extra
+    code, _ = run_cli(base + ["--mode", "search", "--w", "5", "--effort", "7"])
+    assert code == 0 and out_csv.exists()
+
+
+def test_worker_count_below_one_is_usage_error(tmp_path, monkeypatch):
+    out_csv = tmp_path / "runs.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("workers = 0\n")
+    base = ["experiment", "--n", "9", "--trials", "8", "--out", str(out_csv)]
+    for extra in (["--workers", "0"], ["--workers", "-3"],
+                  ["--config", str(cfg)]):
+        code, out = run_cli(base + extra)
+        assert code == 1 and out == "" and not out_csv.exists(), extra
+    monkeypatch.setenv("GVDC_WORKERS", "0")
+    code, out = run_cli(base)
+    assert code == 1 and out == "" and not out_csv.exists()
+    code, _ = run_cli(base + ["--workers", "1"])  # the flag wins
+    assert code == 0 and out_csv.exists()
 
 
 def test_experiment_worker_count_leaves_no_trace(tmp_path):

@@ -1,11 +1,20 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses."""
+imports a name it never uses, and every public function or class of the
+package has a caller outside the tests."""
 
 import ast
 import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# public names that only the tests call, kept as the references they
+# compare against
+TEST_ORACLES = {
+    "dc_contains",     # membership by x_L = x_R a, against the generator rows
+    "kasami_factors",  # closed-form factors, against factorize (criterion 2)
+    "stirling_lower",  # the binomial lower bound of criterion 11
+}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -36,6 +45,69 @@ def test_no_unused_imports():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names, attributes and imported names a module uses, plus the
+    function names in a WRAPPED list of (module, name) strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]:
+            names.update(name for _, name in ast.literal_eval(node.value))
+    return names
+
+
+def _test_only_names(package: dict[str, ast.Module],
+                     callers: list[ast.Module]) -> list[str]:
+    # the package __init__ imports names only to re-export them, so its
+    # references do not count
+    used = set()
+    for tree in [t for p, t in package.items()
+                 if os.path.basename(p) != "__init__.py"] + callers:
+        used |= _referenced_names(tree)
+    return sorted(name for tree in package.values()
+                  for name in _public_definitions(tree)
+                  if name not in used and name not in TEST_ORACLES)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    package = {p: _parse(p)
+               for p in sorted(glob.glob(os.path.join(ROOT, "src/gvdc/*.py")))}
+    callers = [_parse(p) for pattern in ("scripts/*.py", "perfbench/*.py")
+               for p in sorted(glob.glob(os.path.join(ROOT, pattern)))]
+    assert len(package) > 5 and len(callers) > 5
+    assert _test_only_names(package, callers) == []
+
+
+def test_test_only_name_is_caught():
+    package = {"src/gvdc/m.py": ast.parse(
+        "def used():\n    pass\n"
+        "def wrapped():\n    pass\n"
+        "def orphan():\n    return used()\n"
+        "class Orphan:\n    pass\n"
+        "def _private():\n    pass\n"
+        "def dc_contains():\n    pass\n"),
+        "src/gvdc/__init__.py": ast.parse("from .m import orphan, Orphan\n")}
+    tracer = ast.parse("WRAPPED = [('gvdc.m', 'wrapped')]\n")
+    assert _test_only_names(package, [tracer]) == ["Orphan", "orphan"]
 
 
 def test_unused_import_is_caught():

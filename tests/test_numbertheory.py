@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvdc import numbertheory
 from gvdc.numbertheory import (BudgetExceededError, is_prime, kasami_check,
                                mult_order, next_kasami_prime)
 
@@ -87,9 +88,10 @@ def test_next_kasami_prime_skips_non_primitive():
     assert next_kasami_prime(6) != 7
 
 
-def test_next_kasami_prime_budget():
+def test_next_kasami_prime_budget(monkeypatch):
+    monkeypatch.setattr(numbertheory, "_KASAMI_SCAN_MAX", 10)
     with pytest.raises(BudgetExceededError):
-        next_kasami_prime(2744, budget=10)
+        next_kasami_prime(2744)
 
 
 def test_scan_result_is_minimal():

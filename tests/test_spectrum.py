@@ -49,20 +49,27 @@ def test_weight_distribution_counts_codewords():
 
 
 def test_weight_distribution_routes_agree():
+    # each code enumerated directly, and through its dual and the
+    # transform, whichever of the two weight_distribution takes
     for n in (7, 9, 15):
         for code in divisor_codes(n):
-            direct = weight_distribution(code, route="direct")
-            dual = weight_distribution(code, route="dual")
-            assert direct.counts == dual.counts
+            dual = code.dual()
+            direct = tuple(spectrum._gray_weights(code.basis(), n))
+            dual_wd = WeightDistribution(
+                n, tuple(spectrum._gray_weights(dual.basis(), n)))
+            via_dual = macwilliams_transform(dual_wd, dim=dual.dim)
+            assert weight_distribution(code).counts == direct == \
+                via_dual.counts
 
 
 def test_weight_distribution_validation():
     with pytest.raises(ValueError):
         WeightDistribution(3, (1, 3, 3))  # wrong length
-    # the auto route would dodge this via the dual; force the direct one
+    # neither the code nor its dual is small enough to enumerate
+    code = next(c for c in divisor_codes(63)
+                if min(c.dim, c.n - c.dim) > spectrum.ENUM_MAX_DIM)
     with pytest.raises(BudgetExceededError):
-        weight_distribution(CyclicCode(spectrum.ENUM_MAX_DIM + 1, 1),
-                            route="direct")
+        weight_distribution(code)
 
 
 def test_macwilliams_transform_pairs():

@@ -124,6 +124,22 @@ def test_expected_count_lattice_matches_bruteforce():
             assert expected_count_exact(n, w) == expected_count_bruteforce(n, w)
 
 
+@pytest.mark.parametrize("exact_sum", [
+    expected_count_exact, expected_count_bruteforce, prob_positive_bruteforce,
+    orbit_bound_value, verify_orbit_bound])
+def test_exact_sums_reject_lengths_below_one(exact_sum):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            exact_sum(n, 1)
+
+
+def test_bruteforce_count_rejects_a_negative_weight():
+    # as the lattice sum it checks does
+    for count in (expected_count_exact, expected_count_bruteforce):
+        with pytest.raises(ValueError, match="w must be nonnegative"):
+            count(9, -1)
+
+
 def test_prob_positive_versus_expectation():
     # first-moment bound: Pr[X > 0] <= E[X]
     for n in (3, 5, 7):
@@ -424,6 +440,8 @@ def test_experiment_search_weight_and_length_limits():
     assert summary["none_found"] == 2
     with pytest.raises(BudgetExceededError, match="search mode"):
         experiment_distance(n=SEARCH_MAX_N + 1, trials=1, mode="search")
+    with pytest.raises(ValueError, match="search-mode"):
+        experiment_distance(n=9, trials=2, search_weight=5)
 
 
 def test_experiment_vacuous_and_exhaustive_flags():
@@ -516,6 +534,9 @@ def test_experiment_guards():
         experiment_distance(n=9, trials=-5)
     with pytest.raises(ValueError):
         experiment_distance(n=9, exhaustive=True, mode="search")
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            experiment_distance(n=9, trials=8, workers=workers)
 
 
 def test_experiment_truncation_budget():
