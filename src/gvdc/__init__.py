@@ -3,6 +3,11 @@ tools, the analytic bound chain showing they beat the volume-argument
 distance guarantee by a constant factor, and audits for every inequality
 that the argument leans on."""
 
+import os
+
+# gvdc calls no BLAS routine, so an OpenBLAS thread pool only costs start-up
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (CONSTANTS, ProofConstants, ball_nonzero, gv_guarantee,
                      main_threshold, simple_prob_bound, simple_threshold,
                      stirling_lower, volume)

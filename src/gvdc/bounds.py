@@ -3,7 +3,9 @@ behind the improved existence bound for double circulant codes.
 
 Combinatorial quantities are exact integers or rationals.  Analytic
 quantities run through mpmath at 40 significant digits, well past the
-80-bit mantissa the numeric audits require.  The tail exponent
+80-bit mantissa the numeric audits require; each analytic function loads
+mpmath from gvdc._mp when it is first called, so the integer thresholds
+of the experiments never load it.  The tail exponent
 log2(1 + (1 - 2 alpha)^t) - t D(alpha || iota) is written once in mpmath,
 in an evaluator that fixes iota and computes its logarithms a single time;
 every value the module returns comes from it.  Its maximum over alpha
@@ -17,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from mpmath import log, mp, mpf
 
-mp.dps = 40
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,13 @@ class ProofConstants:
     weight_exponent: Fraction = Fraction(3, 5)
 
     def gamma(self) -> mpf:
+        from ._mp import mpf
+
         return mpf(2) ** (mpf(self.decay_log2.numerator) / self.decay_log2.denominator)
 
     def scale(self) -> mpf:
+        from ._mp import mpf
+
         return mpf(2) ** (mpf(self.scale_log2.numerator) / self.scale_log2.denominator)
 
 
@@ -115,6 +122,8 @@ def main_threshold(n: int, consts: ProofConstants = CONSTANTS) -> int:
 
 
 def _entropy_mp(x: mpf) -> mpf:
+    from ._mp import log, mpf
+
     if x == 0 or x == 1:
         return mpf(0)
     return -x * log(x, 2) - (1 - x) * log(1 - x, 2)
@@ -125,7 +134,7 @@ def stirling_lower(n: int, w: int) -> mpf:
     for 0 < w < n."""
     if not 0 < w < n:
         raise ValueError("need 0 < w < n")
-    from mpmath import sqrt
+    from ._mp import mpf, sqrt
 
     om = mpf(w) / n
     return mpf(2) ** (n * _entropy_mp(om)) / sqrt(8 * n * om * (1 - om))
@@ -137,7 +146,7 @@ def repetition_bound(r: int, t: int, w: int) -> mpf:
     sqrt(2rt) ((1 + |1 - 2w/(tr)|^t) / 2)^r C(tr, w)."""
     if r < 1 or t < 1 or not 0 <= w <= t * r:
         raise ValueError("need r, t >= 1 and 0 <= w <= tr")
-    from mpmath import sqrt
+    from ._mp import mpf, sqrt
 
     om = mpf(w) / (t * r)
     return sqrt(2 * r * t) * ((1 + abs(1 - 2 * om) ** t) / 2) ** r * math.comb(t * r, w)
@@ -147,6 +156,8 @@ def _tail_exponent(i: mpf, t: int):
     """Evaluator alpha -> log2(1 + (1 - 2 alpha)^t) - t D(alpha || i) for a
     fixed mpf i, with ln(i), ln(1 - i) and 1/ln 2 computed once; alpha must
     be an mpf in [0, i]."""
+    from ._mp import log
+
     ln_i, ln_1i, inv_ln2 = log(i), log(1 - i), 1 / log(2)
 
     def f(a: mpf) -> mpf:
@@ -179,6 +190,8 @@ def max_weight_tail_exponent(iota, copies: int = CONSTANTS.copies,
     f(alpha_k) < g_j - screen + e <= f(alpha_k*) + 2e - screen
     <= f(alpha_k*).  The grid max and its argument are therefore the same
     mpf values as those of the full scan."""
+    from ._mp import mpf
+
     i = mpf(str(iota))
     if not 0 < i <= mpf("0.5"):
         raise ValueError("need 0 < iota <= 1/2")
@@ -216,6 +229,8 @@ def overhead_exponent_cap(p: int) -> mpf:
     for block prime p: 3/(2(p-1)) + 2 log2(p)/(p-1) + 2/p^(1/3)."""
     if p < 2:
         raise ValueError("p must be >= 2")
+    from ._mp import log, mpf
+
     p_ = mpf(p)
     return 3 / (2 * (p_ - 1)) + 2 * log(p_, 2) / (p_ - 1) + 2 / p_ ** (mpf(1) / 3)
 
@@ -226,6 +241,8 @@ def class_sum_bound(p: int, consts: ProofConstants = CONSTANTS) -> mpf:
     scale (1 + gamma + 2 gamma^(p-1) + (2/(p-1))^2 gamma/(1-gamma)^2)."""
     if p < 3:
         raise ValueError("p must be >= 3")
+    from ._mp import mpf
+
     g = consts.gamma()
     return consts.scale() * (1 + g + 2 * g ** (p - 1)
                              + (mpf(2) / (p - 1)) ** 2 * g / (1 - g) ** 2)
@@ -236,7 +253,7 @@ def level_series_bound(p: int, m: int) -> mpf:
     with n = p^m; empty (zero) at m = 1, and at most 2/p for p >= 3."""
     if p < 2 or m < 1:
         raise ValueError("p >= 2 and m >= 1 required")
-    from mpmath import power
+    from ._mp import mpf, power
 
     n = mpf(p) ** m
     total = mpf(0)
@@ -249,6 +266,8 @@ def level_series_bound(p: int, m: int) -> mpf:
 def enumeration_margin(n0: int, consts: ProofConstants = CONSTANTS) -> mpf:
     """2h(K) - h(kappa) - h(2K - kappa) - (5/2) log2(n0)/n0, the exponent
     slack of the split tail count at block size n0, K = consts.omega_floor."""
+    from ._mp import log, mpf
+
     K = mpf(str(consts.omega_floor))
     kap = mpf(str(consts.kappa))
     if not 0 < kap < K < mpf("0.25"):

@@ -294,7 +294,7 @@ def cmd_audit_constants(args) -> int:
     print(f"published constants{' (with overrides)' if echo else ''}:")
     for f in dataclasses.fields(ProofConstants):
         print(f"  {f.name:18s} = {getattr(consts, f.name)}")
-    from mpmath import nstr
+    from ._mp import nstr
 
     print(f"  {'gamma':18s} = {nstr(consts.gamma(), 12)} (2^{consts.decay_log2})")
     print(f"  {'scale':18s} = {nstr(consts.scale(), 12)} (2^{consts.scale_log2})")
@@ -314,15 +314,17 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mindist(args) -> int:
-    if args.effort < 1:
+    for flag in ("w", "effort", "seed"):
+        if getattr(args, flag) is not None and not args.search:
+            raise UsageError(f"--{flag} is a search setting; it needs --search")
+    effort = 200 if args.effort is None else args.effort
+    if effort < 1:
         raise UsageError("--effort must be positive")
-    if args.w is not None and not args.search:
-        raise UsageError("--w is a search target; it needs --search")
     a = BitVec(_parse_column(args.a, args.n), args.n)
     code = DoubleCirculantCode(args.n, a)
     if args.search:
         w = args.w if args.w is not None else bounds.gv_guarantee(args.n)
-        res = low_weight_search(code, w, effort=args.effort, seed=args.seed)
+        res = low_weight_search(code, w, effort=effort, seed=args.seed or 0)
     else:
         res = min_distance_exact(code)
     payload: dict = {"n": args.n, "a": hex(a.bits)}
@@ -792,8 +794,8 @@ def build_parser() -> _Parser:
                     help="circulant column: bitstring (char i = coord i) or 0x hex")
     sp.add_argument("--search", action="store_true")
     sp.add_argument("--w", type=int, help="search target weight")
-    sp.add_argument("--effort", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--effort", type=int, help="search rounds (default 200)")
+    sp.add_argument("--seed", type=int, help="search seed (default 0)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_mindist)
 

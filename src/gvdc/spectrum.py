@@ -302,32 +302,65 @@ def _lightest_reduced_row(gen: np.ndarray,
     a column where one of its rows that is not yet a pivot row has a 1,
     the first such row becomes the pivot row and is xored into every
     other row with a 1 there.  Rows are ranked round by round, and within
-    a round in the order their pivots were found; ties go to the first."""
-    n = gen.shape[1]
+    a round in the order their pivots were found; ties go to the first.
+
+    Every array the column loop touches is allocated once per call, and
+    each step writes into them with out= (take in clip mode, which does
+    not buffer its output); the indices are always in range."""
+    words, n = gen.shape
     rounds = perm.shape[0]
     rows = np.repeat(gen[None], rounds, axis=0)
-    free = np.ones((rounds, n), dtype=bool)
-    order = np.empty((rounds, n), dtype=np.intp)
+    by_word = rows.reshape(rounds * words, n)
+    # 0/1 flags: hit, a row has a 1 at the column; free, a row is not yet a
+    # pivot row; cand, both
+    hit = np.empty((rounds, n), dtype=np.uint64)
+    free = np.ones_like(hit)
+    cand = np.empty_like(hit)
+    mask = np.empty_like(rows)
+    # a round without a pivot writes at its rank, which a later pivot
+    # overwrites, or, once it has all n, in the spare column n
+    order = np.empty((rounds, n + 1), dtype=np.intp)
     rank = np.zeros(rounds, dtype=np.intp)
     every = np.arange(rounds)
+    word_at = every * words
+    row_at = every * n
+    order_at = every * (n + 1)
+    prow_at = (word_at[:, None] + np.arange(words)) * n
+    word = np.empty(rounds, dtype=np.intp)
+    shift = np.empty(rounds, dtype=np.uint64)
+    piv = np.empty(rounds, dtype=np.intp)
+    at = np.empty(rounds, dtype=np.intp)
+    got = np.empty(rounds, dtype=np.uint64)
+    at_prow = np.empty((rounds, words), dtype=np.intp)
+    prow = np.empty((rounds, words), dtype=np.uint64)
     for c in perm.T:
-        hit = rows[every, c >> 6]
-        hit >>= (c & 63)[:, None]
-        hit &= 1
-        hit = hit.astype(bool)
-        cand = hit & free
-        piv = cand.argmax(axis=1)
-        got = cand[every, piv]
+        np.right_shift(c, 6, out=word)
+        np.add(word, word_at, out=word)
+        np.take(by_word, word, axis=0, out=hit, mode="clip")
+        np.bitwise_and(c, 63, out=shift)
+        np.right_shift(hit, shift[:, None], out=hit)
+        np.bitwise_and(hit, 1, out=hit)
+        np.bitwise_and(hit, free, out=cand)
+        np.argmax(cand, axis=1, out=piv)
+        np.add(row_at, piv, out=at)
+        np.take(cand, at, out=got, mode="clip")
+        # the pivot row leaves the free rows (it was free where got is 1)
+        # and is not xored into itself
+        np.subtract.at(free.reshape(-1), at, got)
+        np.put(hit, at, 0)
+        np.add(prow_at, piv[:, None], out=at_prow)
+        np.take(rows, at_prow, out=prow, mode="clip")
         # a round without a pivot xors zero
-        prow = rows[every, :, piv] & -got.astype(np.uint64)[:, None]
-        hit[every, piv] = False
-        rows ^= prow[:, :, None] & -hit.astype(np.uint64)[:, None, :]
-        done = every[got]
-        free[done, piv[done]] = False
-        order[done, rank[done]] = piv[done]
-        rank += got
+        np.multiply(prow, got[:, None], out=prow)
+        np.negative(hit, out=hit)
+        np.bitwise_and(prow[:, :, None], hit[:, None, :], out=mask)
+        np.bitwise_xor(rows, mask, out=rows)
+        np.add(order_at, rank, out=at)
+        np.put(order, at, piv)
+        np.add(rank, got.view(np.intp), out=rank)
         if rank.min() == n:
             break
+    order = order[:, :n]
     wts = np.take_along_axis(np.bitwise_count(rows).sum(axis=1), order,
                              axis=1)
     r, j = divmod(int(wts.argmin()), n)

@@ -13,15 +13,12 @@ import math
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 
 import numpy as np
-from mpmath import mpf, nstr
 
 from . import bounds
 from .bounds import CONSTANTS, ProofConstants
@@ -445,6 +442,8 @@ def verify_repetition() -> LemmaReport:
     them against full enumeration of the words.  Cases are reported in
     (s, w) order, so a violation names the least syndrome s = 2^j - 1 of
     its class."""
+    from ._mp import mpf, nstr
+
     params = {"max_tr": _REPETITION_MAX_TR}
     worst_ratio = 0.0
     worst_at = None
@@ -510,7 +509,7 @@ def verify_distrib_inequality(seed: int = 7) -> LemmaReport:
     block plus arbitrary extra columns; checked for every i >= t r."""
     params = {"samples": _DISTRIB_SAMPLES, "seed": seed}
     rng = random.Random(seed)
-    from mpmath import sqrt
+    from ._mp import mpf, nstr, sqrt
 
     for trial in range(_DISTRIB_SAMPLES):
         r = rng.randint(1, 4)
@@ -546,6 +545,8 @@ def verify_kappa_numerics(consts: ProofConstants = CONSTANTS) -> LemmaReport:
     """Numeric audit of the refined spectrum estimate: the per-row overhead
     cap, the tail exponent maximum, their sum against 2/5, and the side
     conditions on t and the ball rate."""
+    from ._mp import mpf, nstr
+
     primes = _first_primes_from(consts.prime_floor, 10)
     notes = [f"primes {primes[0]}..{primes[-1]}"]
     for p in primes:
@@ -601,6 +602,8 @@ def verify_enumeration(n: int | None = None,
     discount is rounded up to the next integer exponent, which only makes
     the check harder.  The count is claimed from n_floor on; a smaller n
     is a ValueError."""
+    from ._mp import mpf, nstr
+
     n = consts.n_floor if n is None else n
     if n < consts.n_floor:
         raise ValueError("the split tail count is claimed for "
@@ -632,6 +635,8 @@ def verify_enumeration(n: int | None = None,
 def verify_c2_and_series(consts: ProofConstants = CONSTANTS) -> LemmaReport:
     """Numeric audit of the class geometric sum cap, the repetition level
     series cap, and the final contraction of the whole chain."""
+    from ._mp import mpf, nstr
+
     probe = [consts.prime_floor] + _first_primes_from(consts.prime_floor, 10)
     for p in probe:
         if not bounds.class_sum_bound(p, consts) <= mpf(str(consts.class_sum_cap)) + mpf("1e-12"):
@@ -673,6 +678,26 @@ def _resolve_threshold(n: int,
         return "main", bounds.main_threshold(n, consts)
 
 
+# wall time that forking a pool of workers, feeding it and shutting it
+# down costs: 20-50 ms for two workers on a 2-core machine.  An experiment
+# runs its trials in process until they have taken this long.
+_POOL_START_S = 0.05
+
+
+def _run_trial(n: int, idx: int, master_seed: int, mode: str,
+               search_weight: int, effort: int) -> tuple:
+    """(idx, seed, column bits, distance found) of sampled trial idx."""
+    tseed = trial_seed(master_seed, idx)
+    code = dc_sample(n, tseed)
+    if mode == "exact":
+        found: int | None = min_distance_exact(code).value
+    else:
+        res = low_weight_search(code, search_weight, effort=effort,
+                                seed=trial_seed(tseed, idx))
+        found = res.value if res is not None else None
+    return idx, tseed, code.a.bits, found
+
+
 def _run_trial_block(args) -> list[tuple]:
     """Worker body: evaluate one contiguous block of sampled trials,
     stopping before the first trial that would start past the deadline (a
@@ -682,15 +707,8 @@ def _run_trial_block(args) -> list[tuple]:
     for idx in indices:
         if deadline is not None and time.monotonic() > deadline:
             break
-        tseed = trial_seed(master_seed, idx)
-        code = dc_sample(n, tseed)
-        if mode == "exact":
-            found: int | None = min_distance_exact(code).value
-        else:
-            res = low_weight_search(code, search_weight, effort=effort,
-                                    seed=trial_seed(tseed, idx))
-            found = res.value if res is not None else None
-        out.append((idx, tseed, code.a.bits, found))
+        out.append(_run_trial(n, idx, master_seed, mode, search_weight,
+                              effort))
     return out
 
 
@@ -707,9 +725,15 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     records the best randomized witness at or below search_weight, which
     must be nonnegative and defaults to the volume-argument guarantee;
     search mode takes n <= SEARCH_MAX_N, and only it takes search_weight.
-    workers must be at least 1.  Records are identical for
-    any worker count.  A max_seconds budget stops scheduling further
-    trials and marks the summary truncated; finished trials are kept.
+
+    Trials run in this process, in order, until they have taken as long
+    as starting a pool costs (_POOL_START_S).  Only then, and only with
+    workers > 1, are the remaining trials handed to a pool of at most
+    `workers` processes, forked from this one so that they inherit the
+    tables its trials built.  workers must be at least 1; records are
+    identical for any worker count.  A max_seconds budget stops scheduling
+    further trials and marks the summary truncated; the finished trials
+    are kept, and they are always a prefix of the trials.
 
     An exhaustive run is exact only: it reads every column's distance
     from dc_distance_table(n), with trial = column and seed 0, so its trial
@@ -749,27 +773,43 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         rows = [(a, 0, a, d) for a, d in enumerate(dc_distance_table(n))]
         trials = len(rows)
     else:
-        # one block per worker; under a budget, blocks of at most 64
-        # trials, each of which stops at the deadline between two trials.
-        # Blocks are collected in order up to the first short one, so the
-        # records are always a prefix of the trials.
-        in_process = workers <= 1 or trials < 4
         deadline = (None if max_seconds is None
                     else time.monotonic() + max_seconds)
-        chunk = -(-trials // (1 if in_process else workers))
-        if max_seconds is not None:
-            chunk = min(chunk, 64)
-        jobs = [(n, range(trials)[i:i + chunk], seed, mode, search_weight,
-                 effort, deadline) for i in range(0, trials, max(1, chunk))]
-        with (nullcontext() if in_process
-              else ProcessPoolExecutor(max_workers=workers)) as pool:
-            run = map if pool is None else pool.map
-            for job, block in zip(jobs, run(_run_trial_block, jobs)):
-                rows += block
-                if len(block) < len(job[1]):
-                    truncated = True
-                    break
-            if pool is not None:
+        # trials run here until they have cost what starting a pool would
+        started = time.monotonic()
+        while len(rows) < trials and (
+                workers == 1 or time.monotonic() - started < _POOL_START_S):
+            if deadline is not None and time.monotonic() > deadline:
+                truncated = True
+                break
+            rows.append(_run_trial(n, len(rows), seed, mode, search_weight,
+                                   effort))
+        if len(rows) < trials and not truncated:
+            # the rest on a pool, one block per worker; under a budget,
+            # blocks of at most 64 trials, each of which stops at the
+            # deadline between two trials.  Blocks are collected in order
+            # up to the first short one, so the records stay a prefix of
+            # the trials.  Fork is named because it is not the default
+            # start method everywhere (Python 3.14 on Linux uses
+            # forkserver), and only forked workers inherit the tables the
+            # trials above built instead of importing gvdc again.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            rest = range(len(rows), trials)
+            chunk = -(-len(rest) // workers)
+            if max_seconds is not None:
+                chunk = min(chunk, 64)
+            jobs = [(n, rest[i:i + chunk], seed, mode, search_weight, effort,
+                     deadline) for i in range(0, len(rest), chunk)]
+            with ProcessPoolExecutor(
+                    max_workers=min(workers, len(jobs)),
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                for job, block in zip(jobs, pool.map(_run_trial_block, jobs)):
+                    rows += block
+                    if len(block) < len(job[1]):
+                        truncated = True
+                        break
                 pool.shutdown(cancel_futures=True)
     records = [ExperimentRecord(n, idx, tseed, hex(a_bits), found,
                                 mode == "exact", gv, kind, threshold)

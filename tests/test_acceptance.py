@@ -234,7 +234,9 @@ def test_criterion_12_dual_transform(capsys):
             f"<= 15 ({elapsed:.1f}s)")
 
 
-def test_criterion_13_worker_determinism(capsys, tmp_path):
+def test_criterion_13_worker_determinism(capsys, tmp_path, monkeypatch):
+    # no trial runs in process first, so the pool takes them all
+    monkeypatch.setattr("gvdc.verify._POOL_START_S", 0)
     t0 = time.time()
     argv = ["experiment", "--n", "13", "--trials", "40", "--seed", "0",
             "--out", "runs.csv", "--summary", "summary.json"]

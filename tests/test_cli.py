@@ -200,12 +200,17 @@ def test_flags_a_command_does_not_read_are_usage_errors():
                  ["verify", "repetition", "--m", "2"],
                  ["verify", "triplesum", "--m", "1"],
                  ["verify", "triplesum", "--m", "2", "--w", "3"],
-                 ["mindist", "--n", "3", "--a", "110", "--w", "1"]):
+                 ["mindist", "--n", "3", "--a", "110", "--w", "1"],
+                 ["mindist", "--n", "3", "--a", "110", "--effort", "7"],
+                 ["mindist", "--n", "3", "--a", "110", "--seed", "5"]):
         code, out = run_cli(argv)
         assert code == 1 and out == "", argv
     # the same flags where they are read
     code, out = run_cli(["mindist", "--n", "3", "--a", "110", "--search",
                          "--w", "3"])
+    assert code == 0 and out.startswith("d<=3 ")
+    code, out = run_cli(["mindist", "--n", "3", "--a", "110", "--search",
+                         "--w", "3", "--effort", "7", "--seed", "5"])
     assert code == 0 and out.startswith("d<=3 ")
     code, out = run_cli(["verify", "orbit", "--n", "5", "--w", "2"])
     assert code == 0 and "verified-exact" in out
@@ -352,7 +357,9 @@ def test_worker_count_below_one_is_usage_error(tmp_path, monkeypatch):
     assert code == 0 and out_csv.exists()
 
 
-def test_experiment_worker_count_leaves_no_trace(tmp_path):
+def test_experiment_worker_count_leaves_no_trace(tmp_path, monkeypatch):
+    # no trial runs in process first, so the pool takes them all
+    monkeypatch.setattr("gvdc.verify._POOL_START_S", 0)
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     a_dir.mkdir()

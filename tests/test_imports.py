@@ -1,10 +1,14 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, and every public function or class of the
-package has a caller outside the tests."""
+imports a name it never uses, every public function or class of the
+package has a caller outside the tests, and a fresh process loads mpmath,
+concurrent.futures and multiprocessing only for the runs that use them."""
 
 import ast
 import glob
+import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -115,3 +119,50 @@ def test_unused_import_is_caught():
                      "import os\nfrom math import floor, gcd\n"
                      "def f(x):\n    return floor(x)\n")
     assert _unused_imports(tree) == ["gcd (line 3)", "os (line 2)"]
+
+
+# run in a fresh interpreter: what importing and running gvdc loads
+_STARTUP = """
+import json, os, sys
+
+def loaded():
+    return [m for m in ("mpmath", "concurrent.futures", "multiprocessing")
+            if m in sys.modules]
+
+import gvdc.cli
+state = {"blas": os.environ["OPENBLAS_NUM_THREADS"], "import": loaded()}
+# the exact_n25 benchmark workload: 30 trials take about 10 ms, well
+# below what starting a pool costs, so they all run in this process
+code = gvdc.cli.main(["experiment", "--n", "25", "--mode", "exact",
+                      "--workers", "2", "--trials", "30", "--seed", "0",
+                      "--out", "records.csv", "--summary", "summary.json"])
+state["experiment"] = [code, loaded()]
+code = gvdc.cli.main(["verify", "kappa"])
+state["kappa"] = [code, loaded()]
+import mpmath
+state["dps"] = mpmath.mp.dps
+print(json.dumps(state))
+"""
+
+
+def _fresh_run(script: str, tmp_path, **env_vars) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_start_up_loads_only_what_a_run_uses(tmp_path):
+    state = json.loads(_fresh_run(_STARTUP, tmp_path))
+    assert state["blas"] == "1"
+    assert state["import"] == []
+    assert state["experiment"] == [0, []]
+    assert state["kappa"] == [0, ["mpmath"]]
+    assert state["dps"] == 40
+    # a thread count the user set is kept
+    script = "import os, gvdc; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_run(script, tmp_path, OPENBLAS_NUM_THREADS="2") == "2"

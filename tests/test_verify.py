@@ -415,7 +415,9 @@ def test_experiment_exact_mode_records():
     assert sum(hist.values()) == 32
 
 
-def test_experiment_seed_and_worker_invariance():
+def test_experiment_seed_and_worker_invariance(monkeypatch):
+    # no trial runs in process first, so the pool takes them all
+    monkeypatch.setattr(verify, "_POOL_START_S", 0)
     base_records, base_summary = experiment_distance(n=11, trials=24, seed=4)
     again_records, _ = experiment_distance(n=11, trials=24, seed=4)
     assert base_records == again_records
@@ -465,6 +467,22 @@ def test_exhaustive_records_match_the_engine_on_every_column():
             assert int(rec.a_hex, 16) == rec.trial
             code = DoubleCirculantCode(n, BitVec(rec.trial, n))
             assert rec.d_found == min_distance_exact(code).value
+
+
+def test_small_experiment_starts_no_pool(monkeypatch):
+    # 24 trials at n = 11 take a few ms, far below the cost of a pool
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a pool was started")
+
+    serial = experiment_distance(n=11, trials=24, seed=4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert experiment_distance(n=11, trials=24, seed=4, workers=3) == serial
+    # the same run does reach the pool once trials have no time in process
+    monkeypatch.setattr(verify, "_POOL_START_S", 0)
+    with pytest.raises(RuntimeError, match="pool was started"):
+        experiment_distance(n=11, trials=24, seed=4, workers=3)
 
 
 def test_exhaustive_ignores_workers_and_budget():
@@ -570,7 +588,9 @@ def test_experiment_search_truncation_budget():
     assert records == full
 
 
-def test_experiment_pool_budget_keeps_prefix():
+def test_experiment_pool_budget_keeps_prefix(monkeypatch):
+    # no trial runs in process first, so the pool takes them all
+    monkeypatch.setattr(verify, "_POOL_START_S", 0)
     records, summary = experiment_distance(
         n=13, trials=200, seed=6, workers=2, max_seconds=0
     )
