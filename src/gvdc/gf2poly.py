@@ -59,10 +59,14 @@ def xgcd_raw(a: int, m: int) -> tuple[int, int]:
     """(g, s) with g = gcd(a, m) and s a = g (mod m), by the extended
     Euclidean algorithm; m must be nonzero."""
     r0, r1, s0, s1 = m, mod_raw(a, m), 0, 1
-    # invariant: s_i a = r_i (mod m)
+    # invariant: s_i a = r_i (mod m); each division step takes its
+    # quotient's terms off r0 and s0 one at a time
     while r1:
-        q, r = divmod_raw(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 ^ mul_raw(q, s1)
+        d1 = r1.bit_length()
+        while (sh := r0.bit_length() - d1) >= 0:
+            r0 ^= r1 << sh
+            s0 ^= s1 << sh
+        r0, r1, s0, s1 = r1, r0, s1, s0
     return r0, s0
 
 

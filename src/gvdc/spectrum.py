@@ -5,6 +5,8 @@ cyclic code or its dual is smaller, with the transform bridging the two.
 The exact minimum distance of a double circulant code comes from one engine,
 a two-sided search that raises a weight level on both halves of the code and
 stops when a lower bound on every unseen codeword meets the best one found.
+The engine takes many columns at once and searches each level for all of
+them in one gather; a single column is a batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -118,8 +120,9 @@ EXACT_MAX_N = 28
 # from the message side alone
 _K_BITS_MAX = 16
 
-# entries per block: (rows x annihilator) in a left-side level of
-# _min_codeword, (rounds x words x n) in low_weight_search
+# entries per block: (columns x rows) in a level of _min_codewords, (rows x
+# annihilator) in its left-side cosets, (rounds x words x n) in
+# low_weight_search
 _BLOCK = 1 << 20
 
 
@@ -130,7 +133,7 @@ def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     positions and a (rows,) array of their bits.  A depth-first walk of
     the prenecklace tree (Fredricksen, Kessler and Maiorana) that drops a
     branch as soon as weight t is out of its reach."""
-    # one byte per position: _min_codeword packs a word in a uint64, so
+    # one byte per position: _min_codewords packs a word in a uint64, so
     # n <= 64
     a, rows = [0] * (n + 1), array("B")
 
@@ -158,18 +161,88 @@ def _necklace_level(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _xor_gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row-wise xor of table entries at the positions in each column of
-    idx, for a (t, rows) idx."""
+    idx, for a (t, rows) idx.  The gather is along the first axis of
+    table, so a (positions, columns) table gives (rows, columns)."""
     acc = table[idx[0]]
     for c in range(1, idx.shape[0]):
         acc ^= table[idx[c]]
     return acc
 
 
-def _min_codeword(n: int, a_bits: int,
-                  cap: int | None = None) -> tuple[int, int]:
-    """(weight, codeword) of a lightest nonzero codeword of the [2n, n]
-    code with column a; the codeword packs x_L in its low n bits.  With a
-    cap the weight is min(d, cap + 1), and the codeword is 0 above the cap.
+@lru_cache(maxsize=64)
+def _rotation_shifts(n: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """Shift counts, as a column, and the mask that rotate a length-n word
+    left by 0, 1, ..., n - 1 places."""
+    left = np.arange(n, dtype=np.uint64)[:, None]
+    return left, np.uint64(n) - left, np.uint64((1 << n) - 1)
+
+
+@lru_cache(maxsize=64)
+def _divisor_split(n: int, g: int) -> tuple[int, np.ndarray, int,
+                                            np.ndarray, np.ndarray]:
+    """What a column's search needs of its g = gcd(a, Z^n + 1) alone, with
+    r = deg g: h = (Z^n + 1) / g; the 2^r multiples of h, the kernel
+    K = <h>, word i being the xor of the h Z^j for the bits j of i; the
+    first lightest nonzero word of K, or 0 when r = 0; rem, whose entry i
+    is Z^i mod g; and quo, the (n, n) mask whose [j, i] is all ones when
+    Z^j is a term of Z^i div g."""
+    h, r = divmod_raw(ring_modulus(n), g)[0], degree(g)
+    kern = np.zeros(1, dtype=np.uint64)
+    for j in range(r):
+        kern = np.concatenate([kern, kern ^ np.uint64(h << j)])
+    lightest = (int(kern[1 + np.bitwise_count(kern[1:]).argmin()])
+                if kern.size > 1 else 0)
+    # Z^i = q_i g + rem_i, from i = 0 up: Z^(i + 1) = (Z q_i) g + Z rem_i,
+    # and Z rem_i has degree r exactly when g goes into it once more
+    (q, rem), quos, rems = divmod_raw(1, g), [], []
+    for _ in range(n):
+        quos.append(q)
+        rems.append(rem)
+        q, rem = q << 1, rem << 1
+        if rem >> r & 1:
+            q, rem = q | 1, rem ^ g
+    rem = np.array(rems, dtype=np.uint64)
+    quo = -(np.array(quos, dtype=np.uint64)
+            >> np.arange(n, dtype=np.uint64)[:, None] & np.uint64(1))
+    for shared in (kern, rem, quo):
+        shared.flags.writeable = False
+    return h, kern, lightest, rem, quo
+
+
+@lru_cache(maxsize=256)
+def _left_level(n: int, g: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The necklaces of _necklace_level(n, t) that are multiples of g, in
+    the same form and order.  A left half u is the sum of its Z^i, so it
+    is a multiple of g exactly when the Z^i mod g sum to 0."""
+    idx, bits = _necklace_level(n, t)
+    keep = (_xor_gather(_divisor_split(n, g)[3], idx) == 0).nonzero()[0]
+    if keep.size == bits.size:
+        return idx, bits
+    idx, bits = idx[:, keep], bits[keep]
+    idx.flags.writeable = False
+    bits.flags.writeable = False
+    return idx, bits
+
+
+def _coset_weights(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Entry-wise least weight of the coset x ^ K of a (rows, columns) x,
+    in blocks of rows of at most _BLOCK (entries x kern) words."""
+    if kern.size == 1:
+        return np.bitwise_count(x)
+    out = np.empty(x.shape, dtype=np.uint8)
+    step = max(1, _BLOCK // (kern.size * x.shape[1]))
+    for j in range(0, len(x), step):
+        np.bitwise_count(x[j:j + step, :, None] ^ kern).min(
+            axis=2, out=out[j:j + step])
+    return out
+
+
+def _min_codewords(n: int, columns, cap: int | None = None,
+                   ) -> list[tuple[int, int]]:
+    """For each column a of a sequence, the (weight, codeword) of a
+    lightest nonzero codeword of the [2n, n] code with column a; the
+    codeword packs x_L in its low n bits.  With a cap the weight is
+    min(d, cap + 1), and the codeword is 0 above the cap.
 
     A two-sided search by weight level.  Every nonzero codeword has
     x_L = x_R a with x_R != 0, and rotating both halves keeps it a
@@ -190,94 +263,128 @@ def _min_codeword(n: int, a_bits: int,
     The levels run R1, L0, L1, R2, L2, R3, ...  After right levels up to
     t_R and left levels up to t_L, a codeword not yet seen has
     wt(x_R) >= t_R + 1 and wt(x_L) >= t_L + 1, so weight >= t_R + t_L + 2.
-    The search stops once the best weight found is at most that bound, or,
-    under a cap, once the bound exceeds the cap.  When r > _K_BITS_MAX, K
-    is too large to list (and when n + r > 64 the left table does not fit
-    a uint64): only the right levels run, with bound t_R + 1.  Right level
-    n sees every codeword, so the search always ends.  Ties go to the
-    first strict improvement in level order."""
-    mask = (1 << n) - 1
+    A column's search stops once its best weight is at most that bound,
+    and every search stops, under a cap, once the bound exceeds the cap.
+    When r > _K_BITS_MAX, K is too large to list (and when n + r > 64 the
+    left table does not fit a uint64): only the right levels run, with
+    bound t_R + 1.  Right level n sees every codeword, so the search
+    always ends.  Ties go to the first strict improvement in level order,
+    then to the first necklace of the level, then to the first word of K.
+
+    Columns are searched together: those that share g in one group, and
+    those searched from the right side alone in another.  Each level is
+    one gather over the group's live columns and the level's necklaces,
+    in chunks of at most _BLOCK entries.  A column's value and witness do
+    not depend on the columns searched with it."""
     modulus = ring_modulus(n)
-    # s a = g (mod Z^n + 1), so s (a / g) = 1 (mod h)
-    g, s = xgcd_raw(a_bits, modulus)
-    r = degree(g)
-    rot = np.array([((a_bits << j) | (a_bits >> (n - j))) & mask
-                    for j in range(n)], dtype=np.uint64)
-    steps = [(0, t) for t in range(1, n + 1)]
-    if r <= _K_BITS_MAX and n + r <= 64:
-        h = divmod_raw(modulus, g)[0]
-        b = mod_raw(s, h)
-        # Z^i = q_i g + rem_i.  A left half u is the sum of its Z^i, so
-        # u = 0 mod g exactly when the rem_i sum to 0, and then its right
-        # half (u / g) b is the sum of the q_i b; quo[i] packs both
-        q, rem = divmod_raw(1, g)
-        qb = b if q else 0
-        quo = []
-        for _ in range(n):
-            quo.append(qb | rem << n)
-            rem <<= 1
-            qb = ((qb << 1) | (qb >> (n - 1))) & mask
-            if (rem >> r) & 1:
-                rem ^= g
-                qb ^= b
-        quo = np.array(quo, dtype=np.uint64)
-        kern = np.zeros(1, dtype=np.uint64)
-        for j in range(r):
-            kern = np.concatenate([kern, kern ^ np.uint64(h << j)])
-        steps = [(0, 1), (1, 0), (1, 1)] + [(side, t) for t in range(2, n + 1)
-                                            for side in (0, 1)]
-    best, word = 2 * n + 1, 0
+    groups: dict[int, list[int]] = {}
+    cofactors = []
+    for c, a in enumerate(columns):
+        # s a = g (mod Z^n + 1), so s (a / g) = 1 (mod h)
+        g, s = xgcd_raw(a, modulus)
+        r = degree(g)
+        # key 0, never a divisor, marks the right side alone
+        groups.setdefault(g if r <= _K_BITS_MAX and n + r <= 64 else 0,
+                          []).append(c)
+        cofactors.append(s)
+    out: list = [None] * len(cofactors)
+    for g, members in groups.items():
+        found = _search_group(n, g, [columns[c] for c in members],
+                              [cofactors[c] for c in members], cap)
+        for c, res in zip(members, found):
+            out[c] = res
+    return out
+
+
+def _search_group(n: int, g: int, columns: list[int], cofactors: list[int],
+                  cap: int | None) -> list[tuple[int, int]]:
+    """_min_codewords on columns that share g = gcd(a, Z^n + 1), each with
+    its s, s a = g (mod Z^n + 1); g = 0 runs the right levels alone."""
+    count = len(columns)
+    best, words = [2 * n + 1] * count, [0] * count
+    kern, lightest = np.zeros(1, dtype=np.uint64), 0
+    steps = ((0, t) for t in range(1, n + 1))
+    if g:
+        h, kern, lightest, _, quo = _divisor_split(n, g)
+        columns = columns + [mod_raw(s, h) for s in cofactors]
+        steps = chain([(0, 1), (1, 0), (1, 1)], (
+            (side, t) for t in range(2, n + 1) for side in (0, 1)))
+    # entry [j, c] of rot is word c rotated left by j.  Column c of
+    # tables[0] is column c's a Z^j, of tables[1] its (Z^i div g) b: a
+    # necklace's xor over them is its right-level left half, or its
+    # left-level right half
+    left, right, mask = _rotation_shifts(n)
+    rot = np.array(columns, dtype=np.uint64)
+    rot = ((rot << left) | (rot >> right)) & mask
+    tables = [rot[:, :count]]
+    if g:
+        b, qb = rot[:, count:], np.empty_like(tables[0])
+        step = max(1, _BLOCK // (n * n))
+        for j in range(0, count, step):
+            np.bitwise_xor.reduce(quo[:, :, None] & b[:, None, j:j + step],
+                                  axis=0, out=qb[:, j:j + step])
+        tables.append(qb)
+    live = list(range(count))
     seen = [0, -1]  # highest right and left level searched
     for side, t in steps:
         bound = seen[0] + seen[1] + 2
-        if best <= bound or (cap is not None and bound > cap):
+        if cap is not None and bound > cap:
+            break
+        live = [k for k in live if best[k] > bound]
+        if not live:
             break
         seen[side] = t
-        if side == 0:
-            idx, bits = _necklace_level(n, t)
-            left = _xor_gather(rot, idx)
-            wts = np.bitwise_count(left)
-            i = int(wts.argmin())
-            if t + int(wts[i]) < best:
-                best = t + int(wts[i])
-                word = int(left[i]) | int(bits[i]) << n
-        elif t == 0:
-            if r:
-                wts = np.bitwise_count(kern[1:])
-                i = int(wts.argmin())
-                if int(wts[i]) < best:
-                    best, word = int(wts[i]), int(kern[1 + i]) << n
-        else:
-            idx, bits = _necklace_level(n, t)
-            acc = _xor_gather(quo, idx)
-            keep = (acc <= mask).nonzero()[0]
-            if not keep.size:
-                continue
-            right = acc[keep]
-            step = max(1, _BLOCK >> r)
-            row_min = np.concatenate([
-                np.bitwise_count(right[j:j + step, None] ^ kern).min(axis=1)
-                for j in range(0, len(right), step)])
-            i = int(row_min.argmin())
-            if t + int(row_min[i]) < best:
-                best = t + int(row_min[i])
-                coset = right[i] ^ kern
-                k = int(np.bitwise_count(coset).argmin())
-                word = int(bits[keep[i]]) | int(coset[k]) << n
-    if cap is not None and best > cap:
-        return cap + 1, 0
-    return best, word
+        if side and not t:
+            # left level 0, the same word (0, k) for every column; K has no
+            # nonzero word when r = 0
+            if lightest:
+                w = lightest.bit_count()
+                for k in live:
+                    if w < best[k]:
+                        best[k], words[k] = w, lightest << n
+            continue
+        idx, bits = _left_level(n, g, t) if side else _necklace_level(n, t)
+        if not bits.size:
+            continue
+        # columns per chunk: a left level's coset block has kern.size
+        # words per entry of its gather
+        table = tables[side]
+        per = max(1, _BLOCK // (bits.size * (kern.size if side else 1)))
+        for j in range(0, len(live), per):
+            ks = live[j:j + per]
+            # one column gathers from a 1-D table, numpy's fast path
+            half = _xor_gather(table[:, ks[0]] if len(ks) == 1
+                               else table[:, ks], idx).reshape(bits.size, -1)
+            wts = _coset_weights(half, kern) if side else np.bitwise_count(
+                half)
+            for u, i in enumerate(wts.argmin(axis=0).tolist()):
+                w, k = t + int(wts[i, u]), ks[u]
+                if w < best[k]:
+                    # a right level's near half is x_L; a left level's is
+                    # one word of the coset of right halves, whose first
+                    # lightest word is x_R
+                    near, m = half[i, u], int(bits[i])
+                    if side:
+                        coset = near ^ kern
+                        near = coset[np.bitwise_count(coset).argmin()]
+                    best[k] = w
+                    words[k] = m | int(near) << n if side else (
+                        int(near) | m << n)
+    if cap is not None:
+        return [(w, x) if w <= cap else (cap + 1, 0)
+                for w, x in zip(best, words)]
+    return list(zip(best, words))
 
 
 def min_distance_exact(code: DoubleCirculantCode) -> DistanceResult:
     """Exact minimum distance with a minimum-weight witness, by the
-    two-sided weight-level search of _min_codeword."""
+    two-sided weight-level search of _min_codewords."""
     n = code.n
     if n > EXACT_MAX_N:
         raise BudgetExceededError(
             f"exact distance is offered for n <= {EXACT_MAX_N}, not n = {n}. "
             "Use low_weight_search for a randomized witness.")
-    d, word = _min_codeword(n, code.a.bits)
+    d, word = _min_codewords(n, [code.a.bits])[0]
     return DistanceResult(d, BitVec(word, 2 * n), True)
 
 

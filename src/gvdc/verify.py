@@ -24,11 +24,11 @@ from . import bounds
 from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
-                    nonrepetition_codes, _rotl)
+                    nonrepetition_codes)
 from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
 from .spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _gray_weights,
-                       _min_codeword, low_weight_search, min_distance_exact,
+                       _min_codewords, low_weight_search, min_distance_exact,
                        weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
@@ -231,15 +231,35 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
     if n > TABLE_MAX_N:
         raise BudgetExceededError(
             f"exhaustive table needs 2^n codes; n <= {TABLE_MAX_N}")
-    # rotating the column rotates the left half of every codeword, so one
-    # search serves a whole rotation class; every distance is at least 1
-    table = [0] * (1 << n)
-    for a in range(1 << n):
-        if not table[a]:
-            d = _min_codeword(n, a)[0]
-            for j in range(n):
-                table[_rotl(a, j, n)] = d
-    return tuple(table)
+    # for gcd(u, n) = 1, a(Z) -> a(Z^u) is a ring automorphism mod Z^n + 1
+    # that permutes coordinates, and a rotation of the column rotates the
+    # left half of every codeword: both map the codewords of column a onto
+    # those of its image, weight for weight, so one search serves a whole
+    # orbit of a -> Z^j a(Z^u).  Its representative is its least column.
+    cols = np.arange(1 << n)
+    least = cols.copy()
+    for j in range(1, n):
+        np.minimum(least, ((cols << j) | (cols >> (n - j))) & ((1 << n) - 1),
+                   out=least)
+    # a(Z^u) is the image of a's low k bits or'ed with that of its high
+    # bits, each read from a table of the 2^k or 2^(n - k) halves
+    k = n // 2
+    low, high = cols & ((1 << k) - 1), cols >> k
+    rep = least.copy()
+    for u in range(2, n):
+        if math.gcd(u, n) == 1:
+            to = 1 << (np.arange(n) * u % n)
+            np.minimum(rep, least[_bits_to(cols[:1 << k], to[:k])[low]
+                                  | _bits_to(cols[:1 << n - k], to[k:])[high]],
+                       out=rep)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    d = np.array([w for w, _ in _min_codewords(n, reps.tolist())])
+    return tuple(d[orbit].tolist())
+
+
+def _bits_to(x: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Each x with its bit i moved to the one set bit of to[i]."""
+    return ((x[:, None] >> np.arange(len(to))) & 1) @ to
 
 
 @lru_cache(maxsize=6)
@@ -287,8 +307,11 @@ def orbit_bound_value(n: int, w) -> Fraction:
     gcd(v R, Z^n + 1) = R gcd(v, Z^e + 1), such a word is a codeword
     exactly as often as (u, v) is one at length e, so the sum over the
     words fixed by rotation j is the expected count at length e and
-    weight cap floor(W / (n / e))."""
+    weight cap floor(W / (n / e)).  The census behind the expected counts
+    factors Z^e + 1, which takes odd e, so n must be odd."""
     _check_length(n)
+    if n % 2 == 0:
+        raise ValueError(f"the orbit bound takes odd n, not n = {n}")
     W = min(math.floor(w), 2 * n)
     periods = Counter(math.gcd(j, n) for j in range(n))
     return sum((k * expected_count_exact(e, W // (n // e))
@@ -342,9 +365,9 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
         raise ValueError("w must be nonnegative")
     n = p**m
     cap = math.floor(max(rhs_by_w))
-    dmins = [_min_codeword(n, dc_sample(n, trial_seed(seed, i)).a.bits,
-                           cap)[0]
-             for i in range(trials)]
+    columns = [dc_sample(n, trial_seed(seed, i)).a.bits
+               for i in range(trials)]
+    dmins = [d for d, _ in _min_codewords(n, columns, cap)]
     reports = []
     for w, rhs in sorted(rhs_by_w.items()):
         hits = sum(1 for d in dmins if d <= w)
@@ -738,8 +761,9 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     An exhaustive run is exact only: it reads every column's distance
     from dc_distance_table(n), with trial = column and seed 0, so its trial
     count is 2^n.  It ignores workers and max_seconds and is never
-    truncated; the table is bounded by TABLE_MAX_N instead (under a second
-    at n = 16)."""
+    truncated; the table is bounded by TABLE_MAX_N instead.  At n = 16,
+    `gvdc experiment --n 16 --exhaustive` took about 0.5 s end to end on a
+    shared 2-core machine, 0.03 s of it for the table."""
     if n is None:
         if p is None:
             raise ValueError("give n, or p (optionally with m)")

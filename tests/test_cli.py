@@ -145,6 +145,14 @@ def test_verify_orbit_is_exact_up_to_the_table_limit():
     assert code == 1 and out == ""
 
 
+def test_verify_orbit_rejects_even_n(capsys):
+    for n in ("10", "16"):
+        code, out = run_cli(["verify", "orbit", "--n", n, "--w", "3"])
+        assert code == 1 and out == ""
+        assert f"the orbit bound takes odd n, not n = {n}" in \
+            capsys.readouterr().err
+
+
 def test_verify_cx_table_and_exit():
     code, out = run_cli(["verify", "cx"])
     assert code == 0

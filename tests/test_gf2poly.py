@@ -11,7 +11,7 @@ from gvdc.gf2poly import (FACTORIZE_MAX_N, BudgetExceededError, Factorization,
                           Poly, cyclotomic_cosets, factorize, gcd_raw,
                           kasami_factors, mod_raw, mul_raw, poly_mul_mod,
                           poly_to_str, repetition_poly, ring_modulus,
-                          ring_mul_raw)
+                          ring_mul_raw, xgcd_raw)
 
 
 def test_mul_raw_hand_values():
@@ -130,6 +130,16 @@ def test_ring_mul_properties(a, b, c):
 def test_gcd_divides_both(a, b):
     g = gcd_raw(a, b)
     assert mod_raw(a, g) == 0 and mod_raw(b, g) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**40 - 1), st.integers(1, 40))
+def test_xgcd_cofactor(a, n):
+    # the engine's split of a column: g = gcd(a, Z^n + 1), s a = g mod it
+    m = ring_modulus(n)
+    g, s = xgcd_raw(a, m)
+    assert g == gcd_raw(m, a)
+    assert mod_raw(mul_raw(s, a) ^ g, m) == 0
 
 
 def test_mul_mod_against_schoolbook_oracle():

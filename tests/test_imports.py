@@ -166,3 +166,32 @@ def test_start_up_loads_only_what_a_run_uses(tmp_path):
     # a thread count the user set is kept
     script = "import os, gvdc; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh_run(script, tmp_path, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+# run in a fresh interpreter: which audits run with mpmath already loaded
+_VERIFY_TIMING = """
+import json, sys
+import gvdc.cli as cli
+
+seen = []
+timed = cli._timed
+
+def watched(audit, *args, **kwargs):
+    seen.append([audit.__name__, "mpmath" in sys.modules])
+    return timed(audit, *args, **kwargs)
+
+cli._timed = watched
+codes = [cli.main(["verify", "cx"])]
+cx_loads = "mpmath" in sys.modules
+codes.append(cli.main(["verify", "repetition"]))
+print(json.dumps({"codes": codes, "cx_loads": cx_loads, "seen": seen}))
+"""
+
+
+def test_verify_loads_mpmath_before_timing_an_mpmath_audit(tmp_path):
+    # the import is not charged to the first audit that computes in it
+    state = json.loads(_fresh_run(_VERIFY_TIMING, tmp_path))
+    assert state["codes"] == [0, 0]
+    assert not state["cx_loads"]
+    assert state["seen"] == [["verify_lemma_cx", False]] * 4 + [
+        ["verify_repetition", True]]

@@ -13,7 +13,7 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
 from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
                           ring_mul_raw)
 from gvdc.spectrum import (SEARCH_MAX_N, WeightDistribution,
-                           _column_orders, _min_codeword, _necklace_level,
+                           _column_orders, _min_codewords, _necklace_level,
                            dc_weight_distribution, low_weight_search,
                            macwilliams_transform, min_distance_exact,
                            weight_distribution)
@@ -183,7 +183,8 @@ def assert_min_codeword(code: DoubleCirculantCode, d: int):
     assert dc_contains(code, r.witness)
     assert r.witness.weight() == d
     for cap in range(2 * code.n + 2):
-        assert _min_codeword(code.n, code.a.bits, cap)[0] == min(d, cap + 1)
+        assert _min_codewords(code.n, [code.a.bits], cap)[0][0] == min(
+            d, cap + 1)
 
 
 def test_dc_weight_distribution_locates_min_distance():
@@ -194,14 +195,25 @@ def test_dc_weight_distribution_locates_min_distance():
 
 @pytest.mark.parametrize("k_bits_max", [spectrum._K_BITS_MAX, 0])
 def test_min_distance_every_column_small_n(monkeypatch, k_bits_max):
-    # every column of every length n <= 10, odd and even; with the
-    # annihilator limit at 0 every non-unit column runs the message side
-    # alone
+    # every column of every length n <= 10, odd and even, as one batch; with
+    # the annihilator limit at 0 every non-unit column runs the message
+    # side alone
     monkeypatch.setattr(spectrum, "_K_BITS_MAX", k_bits_max)
     for n in range(1, 11):
-        for a in range(1 << n):
-            code = DoubleCirculantCode(n, BitVec(a, n))
-            assert_min_codeword(code, gray_min_distance(code))
+        codes = [DoubleCirculantCode(n, BitVec(a, n)) for a in range(1 << n)]
+        dists = [gray_min_distance(code) for code in codes]
+        found = _min_codewords(n, range(1 << n))
+        for code, d, (value, word) in zip(codes, dists, found):
+            assert value == d
+            assert dc_contains(code, BitVec(word, 2 * n))
+            assert word.bit_count() == d
+            assert min_distance_exact(code) == spectrum.DistanceResult(
+                d, BitVec(word, 2 * n), True)
+        for cap in range(2 * n + 2):
+            capped = _min_codewords(n, range(1 << n), cap)
+            for d, (value, word), full in zip(dists, capped, found):
+                assert value == min(d, cap + 1)
+                assert word == (full[1] if d <= cap else 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,15 +232,46 @@ def test_min_distance_non_unit_columns(n, v, pick):
 
 def test_capped_search_decides_like_uncapped():
     for n in (25, 27):
+        columns = []
         for seed in range(40):
             a = dc_sample(n, seed).a.bits
             if seed % 2:
                 a = ring_mul_raw(a, 0b11, n)  # a multiple of 1 + Z
-            d = _min_codeword(n, a)[0]
-            for cap in range(11):
-                capped = _min_codeword(n, a, cap)[0]
+            columns.append(a)
+        dists = [d for d, _ in _min_codewords(n, columns)]
+        for cap in range(11):
+            capped = [d for d, _ in _min_codewords(n, columns, cap)]
+            for d, c in zip(dists, capped):
                 for w in range(cap + 1):
-                    assert (capped <= w) == (d <= w)
+                    assert (c <= w) == (d <= w)
+
+
+def engine_columns(n: int) -> list[int]:
+    """Sampled columns of length n, every other one a multiple of a
+    factor of Z^n + 1: units, columns that share a divisor g, and, for
+    the factor of degree 20 or 18, columns searched from the right side
+    alone."""
+    factors = factorize(n).factors
+    rng = random.Random(n)
+    return [ring_mul_raw(factors[i // 2 % len(factors)], rng.getrandbits(n),
+                         n) if i % 2 else rng.getrandbits(n)
+            for i in range(60)]
+
+
+@pytest.mark.parametrize("n", [25, 27])
+def test_batches_do_not_change_a_column(monkeypatch, n):
+    # a column's (weight, word) is the same alone, in a batch, in a
+    # reversed batch, next to its own copy, and with every gather and
+    # coset block cut into chunks of a few entries
+    columns = engine_columns(n)
+    for cap in (None, 7):
+        want = [_min_codewords(n, [a], cap)[0] for a in columns]
+        assert _min_codewords(n, columns, cap) == want
+        assert _min_codewords(n, columns[::-1], cap) == want[::-1]
+        assert _min_codewords(n, columns + columns, cap) == want + want
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_BLOCK", 64)
+            assert _min_codewords(n, columns, cap) == want
 
 
 def test_left_side_witnesses_are_codewords():

@@ -13,7 +13,7 @@ from gvdc import verify
 from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
                         dc_sample)
 from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
-from gvdc.spectrum import SEARCH_MAX_N, min_distance_exact
+from gvdc.spectrum import SEARCH_MAX_N, _min_codewords, min_distance_exact
 from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
                          VERIFIED_NUMERIC, VIOLATED, LemmaReport,
                          dc_distance_table, expected_count_bruteforce,
@@ -396,6 +396,27 @@ def test_distance_table_spot_checks_against_exact():
     for a in (0, 1, 0b1011, 0x1fff, 0x1234):
         code = DoubleCirculantCode(13, BitVec(a, 13))
         assert table[a] == min_distance_exact(code).value
+
+
+def test_distance_table_equals_the_engine_column_by_column(monkeypatch):
+    # one search per orbit of a -> Z^j a(Z^u), gcd(u, n) = 1, must give
+    # every column the distance its own search gives, at odd and even n
+    searched = []
+
+    def counting(n, columns, cap=None):
+        searched.append((n, len(columns)))
+        return _min_codewords(n, columns, cap)
+
+    monkeypatch.setattr(verify, "_min_codewords", counting)
+    for n in range(1, 13):
+        dc_distance_table.cache_clear()
+        want = tuple(_min_codewords(n, [a])[0][0] for a in range(1 << n))
+        assert dc_distance_table(n) == want, n
+    dc_distance_table.cache_clear()
+    dc_distance_table(13)
+    # 74 orbits at n = 13, against 632 rotation classes, in one call
+    assert searched[-1] == (13, 74)
+    dc_distance_table.cache_clear()
 
 
 def test_experiment_exact_mode_records():
