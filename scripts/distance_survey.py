@@ -9,12 +9,15 @@ Usage, from the root of a checkout:
 
 or, after `pip install -e .`, the same command without PYTHONPATH=src.
 
+--workers (default 1) caps the worker processes of each experiment, as
+`gvdc experiment --workers` does; the script reads no environment
+variable.
+
 Prints one line per length with the d histogram, the guarantee, and the
 fraction of sampled codes that meet or beat it.
 """
 
 import argparse
-import os
 
 from gvdc import experiment_distance
 
@@ -23,8 +26,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int,
-                    default=int(os.environ.get("GVDC_WORKERS", "1")))
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--lengths", type=int, nargs="+",
                     default=[11, 13, 17, 19, 23])
     args = ap.parse_args()

@@ -69,12 +69,18 @@ def volume(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
+def weight_cap(length: int, w) -> int:
+    """min(floor(w), length); a NaN or infinite w is a ValueError."""
+    if w != w or abs(w) == math.inf:
+        raise ValueError(f"w must be finite, not {w}")
+    return min(math.floor(w), length)
+
+
 def ball_nonzero(two_n: int, w) -> int:
     """Number of nonzero words of length two_n and weight <= floor(w)."""
     if w < 0:
         raise ValueError("radius must be nonnegative")
-    wi = min(math.floor(w), two_n)
-    return volume(two_n, wi) - 1
+    return volume(two_n, weight_cap(two_n, w)) - 1
 
 
 def gv_guarantee(n: int) -> int:

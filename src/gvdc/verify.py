@@ -15,8 +15,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, count
+from functools import lru_cache, partial
+from itertools import accumulate, count, repeat
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
 from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
 from .spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _gray_weights,
-                       _min_codewords, low_weight_search, min_distance_exact,
-                       weight_distribution)
+                       _min_codewords, low_weight_search, weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
 VERIFIED_NUMERIC = "verified-numeric"
@@ -177,17 +176,18 @@ def verify_lemma_cx(n: int) -> LemmaReport:
 # expected codeword counts
 
 
-def _check_length(n: int) -> None:
+def _weight_cap(n: int, w) -> int:
+    """floor(w) capped at the length 2n of the codes at n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, not {n}")
+    return bounds.weight_cap(2 * n, w)
 
 
 def expected_count_exact(n: int, w) -> Fraction:
     """E[number of nonzero codewords of weight <= w] over a uniform column,
     from the divisor-lattice census: sum over codes D and generator weights
     j of census_j(D) * |{v in D : wt(v) <= w - j}| / |D|, zero word removed."""
-    _check_length(n)
-    W = min(math.floor(w), 2 * n)
+    W = _weight_cap(n, w)
     if W < 0:
         raise ValueError("w must be nonnegative")
     census = _census_all(n)
@@ -217,8 +217,7 @@ def _bruteforce_pair_hist(n: int) -> tuple[int, ...]:
 def expected_count_bruteforce(n: int, w) -> Fraction:
     """Same expectation as expected_count_exact, by enumerating every
     column and every message."""
-    _check_length(n)
-    W = min(math.floor(w), 2 * n)
+    W = _weight_cap(n, w)
     if W < 0:
         raise ValueError("w must be nonnegative")
     hist = _bruteforce_pair_hist(n)
@@ -272,8 +271,7 @@ def _distance_cdf(n: int) -> tuple[int, ...]:
 def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
     of weight <= w, read from dc_distance_table (n <= TABLE_MAX_N)."""
-    _check_length(n)
-    W = min(math.floor(w), 2 * n)
+    W = _weight_cap(n, w)
     return Fraction(_distance_cdf(n)[W] if W >= 0 else 0, 1 << n)
 
 
@@ -288,10 +286,6 @@ def _exact_report(lemma: str, params: dict, n: int, w, rhs) -> LemmaReport:
 
 # ---------------------------------------------------------------------------
 # orbit-weighted first moment bound
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def orbit_bound_value(n: int, w) -> Fraction:
@@ -309,10 +303,9 @@ def orbit_bound_value(n: int, w) -> Fraction:
     words fixed by rotation j is the expected count at length e and
     weight cap floor(W / (n / e)).  The census behind the expected counts
     factors Z^e + 1, which takes odd e, so n must be odd."""
-    _check_length(n)
+    W = _weight_cap(n, w)
     if n % 2 == 0:
         raise ValueError(f"the orbit bound takes odd n, not n = {n}")
-    W = min(math.floor(w), 2 * n)
     periods = Counter(math.gcd(j, n) for j in range(n))
     return sum((k * expected_count_exact(e, W // (n // e))
                 for e, k in periods.items()), Fraction(0)) / n
@@ -365,8 +358,7 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
         raise ValueError("w must be nonnegative")
     n = p**m
     cap = math.floor(max(rhs_by_w))
-    columns = [dc_sample(n, trial_seed(seed, i)).a.bits
-               for i in range(trials)]
+    _, columns = _sample_trials(n, seed, range(trials))
     dmins = [d for d, _ in _min_codewords(n, columns, cap)]
     reports = []
     for w, rhs in sorted(rhs_by_w.items()):
@@ -472,7 +464,7 @@ def verify_repetition() -> LemmaReport:
     worst_at = None
     equalities = []
     for total in range(1, _REPETITION_MAX_TR + 1):
-        for r in _divisors(total):
+        for r in (d for d in range(1, total + 1) if total % d == 0):
             t = total // r
             counts = _syndrome_class_counts(r, t)
             caps = [bounds.repetition_bound(r, t, w) for w in range(total + 1)]
@@ -693,46 +685,44 @@ def verify_c2_and_series(consts: ProofConstants = CONSTANTS) -> LemmaReport:
 # experiments
 
 
-def _resolve_threshold(n: int,
-                       consts: ProofConstants = CONSTANTS) -> tuple[str, int]:
-    try:
-        return "simple", bounds.simple_threshold(n)
-    except ValueError:
-        return "main", bounds.main_threshold(n, consts)
-
-
 # wall time that forking a pool of workers, feeding it and shutting it
 # down costs: 20-50 ms for two workers on a 2-core machine.  An experiment
 # runs its trials in process until they have taken this long.
 _POOL_START_S = 0.05
 
-
-def _run_trial(n: int, idx: int, master_seed: int, mode: str,
-               search_weight: int, effort: int) -> tuple:
-    """(idx, seed, column bits, distance found) of sampled trial idx."""
-    tseed = trial_seed(master_seed, idx)
-    code = dc_sample(n, tseed)
-    if mode == "exact":
-        found: int | None = min_distance_exact(code).value
-    else:
-        res = low_weight_search(code, search_weight, effort=effort,
-                                seed=trial_seed(tseed, idx))
-        found = res.value if res is not None else None
-    return idx, tseed, code.a.bits, found
+# exact trials per engine call, and trials per pool job under a budget
+_TRIAL_BLOCK = 64
 
 
-def _run_trial_block(args) -> list[tuple]:
-    """Worker body: evaluate one contiguous block of sampled trials,
-    stopping before the first trial that would start past the deadline (a
-    time.monotonic() value, or None for no deadline)."""
-    n, indices, master_seed, mode, search_weight, effort, deadline = args
-    out = []
-    for idx in indices:
-        if deadline is not None and time.monotonic() > deadline:
+def _sample_trials(n: int, master_seed: int, indices) -> tuple[list, list]:
+    """The trial seeds of the trial indices, and the columns they sample."""
+    seeds = [trial_seed(master_seed, i) for i in indices]
+    return seeds, [dc_sample(n, s).a.bits for s in seeds]
+
+
+def _run_trials(n: int, master_seed: int, mode: str, search_weight: int,
+                effort: int, indices: range, stop: float) -> list[tuple]:
+    """(idx, seed, column bits, distance found) of each sampled trial in
+    indices, in order, up to the first exact block or search trial that
+    would start at or past stop, a time.monotonic() value.  Exact trials
+    go to the engine _TRIAL_BLOCK at a time; search trials run one by
+    one.  The in-process phase and every pool worker run this."""
+    step = _TRIAL_BLOCK if mode == "exact" else 1
+    rows = []
+    for i in range(0, len(indices), step):
+        if time.monotonic() >= stop:
             break
-        out.append(_run_trial(n, idx, master_seed, mode, search_weight,
-                              effort))
-    return out
+        block = indices[i:i + step]
+        seeds, columns = _sample_trials(n, master_seed, block)
+        if mode == "exact":
+            found = [d for d, _ in _min_codewords(n, columns)]
+        else:
+            code = DoubleCirculantCode(n, BitVec(columns[0], n))
+            res = low_weight_search(code, search_weight, effort=effort,
+                                    seed=trial_seed(seeds[0], block[0]))
+            found = [None if res is None else res.value]
+        rows += zip(block, seeds, columns, found)
+    return rows
 
 
 def experiment_distance(n: int | None = None, p: int | None = None,
@@ -749,14 +739,17 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     must be nonnegative and defaults to the volume-argument guarantee;
     search mode takes n <= SEARCH_MAX_N, and only it takes search_weight.
 
-    Trials run in this process, in order, until they have taken as long
-    as starting a pool costs (_POOL_START_S).  Only then, and only with
-    workers > 1, are the remaining trials handed to a pool of at most
-    `workers` processes, forked from this one so that they inherit the
-    tables its trials built.  workers must be at least 1; records are
-    identical for any worker count.  A max_seconds budget stops scheduling
-    further trials and marks the summary truncated; the finished trials
-    are kept, and they are always a prefix of the trials.
+    Exact trials go to the distance engine in blocks of _TRIAL_BLOCK
+    columns; search trials run one at a time.  Trials run in this process,
+    in order, until they have taken as long as starting a pool costs
+    (_POOL_START_S).  Only then, and only with workers > 1, are the
+    remaining trials handed to a pool of at most `workers` processes,
+    forked from this one so that they inherit the tables its trials
+    built.  workers must be at least 1; records are identical for any
+    worker count.  A max_seconds budget, a nonnegative number of
+    seconds, is checked between blocks and between search trials: it
+    stops scheduling further trials and marks the summary truncated; the
+    finished trials are kept, and they are always a prefix of the trials.
 
     An exhaustive run is exact only: it reads every column's distance
     from dc_distance_table(n), with trial = column and seed 0, so its trial
@@ -782,6 +775,8 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         raise ValueError("a search weight is a search-mode setting")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if max_seconds is not None and not max_seconds >= 0:
+        raise ValueError(f"max_seconds must be nonnegative, not {max_seconds}")
     if mode == "exact" and n > EXACT_MAX_N:
         raise BudgetExceededError(
             f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")
@@ -789,50 +784,47 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         raise BudgetExceededError(
             f"search mode is offered for n <= {SEARCH_MAX_N}, not n = {n}")
     gv = bounds.gv_guarantee(n)
-    kind, threshold = _resolve_threshold(n, consts)
+    try:
+        kind, threshold = "simple", bounds.simple_threshold(n)
+    except ValueError:
+        kind, threshold = "main", bounds.main_threshold(n, consts)
     if search_weight is None:
         search_weight = gv
-    rows, truncated = [], False
     if exhaustive:
         rows = [(a, 0, a, d) for a, d in enumerate(dc_distance_table(n))]
         trials = len(rows)
     else:
-        deadline = (None if max_seconds is None
-                    else time.monotonic() + max_seconds)
+        deadline = time.monotonic() + (math.inf if max_seconds is None
+                                       else max_seconds)
+        run = partial(_run_trials, n, seed, mode, search_weight, effort)
         # trials run here until they have cost what starting a pool would
-        started = time.monotonic()
-        while len(rows) < trials and (
-                workers == 1 or time.monotonic() - started < _POOL_START_S):
-            if deadline is not None and time.monotonic() > deadline:
-                truncated = True
-                break
-            rows.append(_run_trial(n, len(rows), seed, mode, search_weight,
-                                   effort))
-        if len(rows) < trials and not truncated:
-            # the rest on a pool, one block per worker; under a budget,
-            # blocks of at most 64 trials, each of which stops at the
-            # deadline between two trials.  Blocks are collected in order
-            # up to the first short one, so the records stay a prefix of
-            # the trials.  Fork is named because it is not the default
-            # start method everywhere (Python 3.14 on Linux uses
-            # forkserver), and only forked workers inherit the tables the
-            # trials above built instead of importing gvdc again.
+        rows = run(range(trials), deadline if workers == 1 else
+                   min(deadline, time.monotonic() + _POOL_START_S))
+        if len(rows) < trials and time.monotonic() < deadline:
+            # the rest on a pool, one job per worker; under a budget, jobs
+            # of at most _TRIAL_BLOCK trials, each of which stops at the
+            # deadline.  Jobs are collected in order up to the first short
+            # one, so the records stay a prefix of the trials, and fall
+            # short of them only past the deadline.  Fork is named because
+            # it is not the default start method everywhere (Python 3.14
+            # on Linux uses forkserver), and only forked workers inherit
+            # the tables the trials above built instead of importing gvdc
+            # again.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             rest = range(len(rows), trials)
             chunk = -(-len(rest) // workers)
             if max_seconds is not None:
-                chunk = min(chunk, 64)
-            jobs = [(n, rest[i:i + chunk], seed, mode, search_weight, effort,
-                     deadline) for i in range(0, len(rest), chunk)]
+                chunk = min(chunk, _TRIAL_BLOCK)
+            jobs = [rest[i:i + chunk] for i in range(0, len(rest), chunk)]
             with ProcessPoolExecutor(
                     max_workers=min(workers, len(jobs)),
                     mp_context=multiprocessing.get_context("fork")) as pool:
-                for job, block in zip(jobs, pool.map(_run_trial_block, jobs)):
+                for job, block in zip(jobs, pool.map(run, jobs,
+                                                     repeat(deadline))):
                     rows += block
-                    if len(block) < len(job[1]):
-                        truncated = True
+                    if len(block) < len(job):
                         break
                 pool.shutdown(cancel_futures=True)
     records = [ExperimentRecord(n, idx, tseed, hex(a_bits), found,
@@ -843,7 +835,7 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     summary: dict = {
         "n": n, "mode": mode, "seed": seed, "exhaustive": exhaustive,
         "trials": trials, "completed": done,
-        "truncated": truncated, "vacuous": done == 0,
+        "truncated": done < trials, "vacuous": done == 0,
         "gv_guarantee": gv,
         "threshold_kind": kind, "threshold": threshold,
         "histogram": {str(k): v

@@ -30,6 +30,9 @@ def test_ball_nonzero_values():
     assert ball_nonzero(26, 4) == 17901
     assert ball_nonzero(26, 4) == volume(26, 4) - 1
     assert ball_nonzero(6, 1) == 6
+    for w in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="w must be finite"):
+            ball_nonzero(10, w)
 
 
 def test_gv_guarantee_values_and_meaning():

@@ -126,6 +126,14 @@ def test_expected_agreement_gate():
     assert "307/256" in out
 
 
+def test_expected_rejects_a_weight_that_is_not_finite(capsys):
+    for w in ("inf", "nan", "-inf"):
+        code, out = run_cli(["expected", "--n", "9", f"--w={w}", "--orbit"])
+        assert code == 1 and out == "", w
+        err = capsys.readouterr().err
+        assert f"w must be finite, not {w}" in err and "Traceback" not in err
+
+
 def test_exhaustive_audits_past_their_limit_exit_budget():
     code, _ = run_cli(["verify", "orbit", "--n", str(TABLE_MAX_N + 1)])
     assert code == 3
@@ -309,7 +317,9 @@ def test_effort_must_be_positive(tmp_path):
 def test_experiment_usage_errors(tmp_path):
     out_csv = tmp_path / "runs.csv"
     for argv in (["--n", "9", "--trials", "-5"],
-                 ["--n", "9", "--exhaustive", "--mode", "search"]):
+                 ["--n", "9", "--exhaustive", "--mode", "search"],
+                 ["--n", "9", "--max-seconds", "nan"],
+                 ["--n", "9", "--max-seconds=-1"]):
         code, out = run_cli(["experiment", *argv, "--out", str(out_csv)])
         assert code == 1 and out == "" and not out_csv.exists(), argv
 

@@ -436,10 +436,17 @@ def test_experiment_exact_mode_records():
     assert sum(hist.values()) == 32
 
 
-def test_experiment_seed_and_worker_invariance(monkeypatch):
+@pytest.mark.parametrize("block", [1, 5, verify._TRIAL_BLOCK])
+def test_experiment_seed_and_worker_invariance(monkeypatch, block):
+    # 24 trials: blocks of 5 leave a short last block, in process and in
+    # each pool job
+    want = [min_distance_exact(dc_sample(11, trial_seed(4, i))).value
+            for i in range(24)]
+    monkeypatch.setattr(verify, "_TRIAL_BLOCK", block)
     # no trial runs in process first, so the pool takes them all
     monkeypatch.setattr(verify, "_POOL_START_S", 0)
     base_records, base_summary = experiment_distance(n=11, trials=24, seed=4)
+    assert [r.d_found for r in base_records] == want
     again_records, _ = experiment_distance(n=11, trials=24, seed=4)
     assert base_records == again_records
     par_records, par_summary = experiment_distance(
@@ -453,6 +460,26 @@ def test_experiment_seed_and_worker_invariance(monkeypatch):
                   effort=20)
     assert experiment_distance(**search) == \
         experiment_distance(**search, workers=3)
+
+
+def test_exact_trials_go_to_the_engine_in_blocks(monkeypatch):
+    calls = []
+
+    def counting(n, columns, cap=None):
+        calls.append(len(columns))
+        return _min_codewords(n, columns, cap)
+
+    monkeypatch.setattr(verify, "_min_codewords", counting)
+    block = verify._TRIAL_BLOCK
+    for trials in (0, 1, block, 2 * block + 3):
+        calls.clear()
+        records, _ = experiment_distance(n=11, trials=trials, seed=3)
+        assert len(calls) == -(-trials // block), trials
+        assert sum(calls) == len(records) == trials
+    # search trials never reach the engine
+    calls.clear()
+    experiment_distance(n=11, trials=3, mode="search", effort=5)
+    assert calls == []
 
 
 def test_experiment_search_weight_and_length_limits():
@@ -576,6 +603,11 @@ def test_experiment_guards():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             experiment_distance(n=9, trials=8, workers=workers)
+    # a NaN or negative budget means nothing; a zero budget is kept
+    for budget in (math.nan, -1, -math.inf):
+        with pytest.raises(ValueError, match="max_seconds"):
+            experiment_distance(n=9, trials=5, max_seconds=budget)
+    assert experiment_distance(n=9, trials=5, max_seconds=0)[1]["truncated"]
 
 
 def test_experiment_truncation_budget():
