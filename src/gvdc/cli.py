@@ -44,12 +44,18 @@ THRESHOLDS_HEADER = ["n", "gv_guarantee", "simple_threshold",
                      "main_threshold"]
 SPECTRUM_HEADER = ["i", "A_i"]
 
-_VERIFY_TARGETS = ("all", "cx", "orbit", "triplesum", "repetition",
-                   "distrib", "kappa", "enumeration", "c2series")
-# the only targets that read each of these flags
-_VERIFY_FLAG_READERS = {"n": ("cx", "orbit", "enumeration"),
-                        "w": ("orbit", "triplesum"),
-                        "p": ("triplesum",), "m": ("triplesum",)}
+# verify target: (the flags it reads, whether it computes in mpmath)
+_VERIFY_TARGETS = {
+    "all": ({"trials", "seed", "const"}, True),
+    "cx": ({"n"}, False),
+    "orbit": ({"n", "w"}, False),
+    "triplesum": ({"w", "p", "m", "trials", "seed"}, False),
+    "repetition": (set(), True),
+    "distrib": ({"seed"}, True),
+    "kappa": ({"const"}, True),
+    "enumeration": ({"n", "const"}, True),
+    "c2series": ({"const"}, True),
+}
 
 
 class UsageError(Exception):
@@ -314,22 +320,25 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _reject_unread(command: str, args, unread) -> None:
+    """Giving a flag that the command does not read is a usage error."""
+    for flag in sorted(unread):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{command} does not read --{flag}")
+
+
 def cmd_mindist(args) -> int:
-    for flag in ("w", "effort", "seed"):
-        if getattr(args, flag) is not None and not args.search:
-            raise UsageError(f"--{flag} is a search setting; it needs --search")
-    effort = 200 if args.effort is None else args.effort
-    if effort < 1:
-        raise UsageError("--effort must be positive")
+    _reject_unread("mindist without --search", args,
+                   () if args.search else ("effort", "seed", "w"))
     a = BitVec(_parse_column(args.a, args.n), args.n)
     code = DoubleCirculantCode(args.n, a)
     if args.search:
-        w = args.w if args.w is not None else bounds.gv_guarantee(args.n)
-        res = low_weight_search(code, w, effort=effort, seed=args.seed or 0)
+        res = low_weight_search(code, args.w, args.effort, args.seed or 0)
     else:
         res = min_distance_exact(code)
     payload: dict = {"n": args.n, "a": hex(a.bits)}
     if res is None:
+        w = bounds.gv_guarantee(args.n) if args.w is None else args.w
         payload.update({"d": None, "exact": False,
                         "note": f"no codeword of weight <= {w} found"})
     else:
@@ -429,18 +438,13 @@ def _report_json(rows, config: dict) -> bytes:
     return json.dumps(body, indent=2, sort_keys=True).encode() + b"\n"
 
 
-# verify targets that run an audit computing in mpmath
-_MPMATH_TARGETS = ("all", "repetition", "distrib", "kappa", "enumeration",
-                   "c2series")
-
-
 def cmd_verify(args) -> int:
     started = time.time()
-    consts, echo = _apply_const_overrides(_const_pairs_from_flags(args.const))
     target = args.target
-    for flag, readers in _VERIFY_FLAG_READERS.items():
-        if getattr(args, flag) is not None and target not in readers:
-            raise UsageError(f"verify {target} does not read --{flag}")
+    reads, in_mpmath = _VERIFY_TARGETS[target]
+    _reject_unread(f"verify {target}", args,
+                   {"n", "w", "p", "m", "trials", "seed", "const"} - reads)
+    consts, echo = _apply_const_overrides(_const_pairs_from_flags(args.const))
     if args.m is not None and args.p is None:
         raise UsageError("--m needs --p")
     if any(v is not None and v < 1 for v in (args.n, args.p, args.m)):
@@ -449,7 +453,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be nonnegative")
     trials = args.trials if args.trials is not None else 10_000
     seed = args.seed if args.seed is not None else 0
-    if target in _MPMATH_TARGETS:
+    if in_mpmath:
         # load mpmath before any audit is timed, so that its import is not
         # counted in the runtime of the first audit that computes in it
         importlib.import_module("gvdc._mp")
@@ -546,12 +550,6 @@ def cmd_experiment(args) -> int:
                 settings["workers"] = int(env)
             except ValueError:
                 raise UsageError(f"GVDC_WORKERS must be an integer, got {env!r}")
-    if settings.get("n") is None and settings.get("p") is None:
-        raise UsageError("give --n, or --p (optionally with --m)")
-    # experiment_distance rejects a search weight in exact mode itself, but
-    # cannot tell a given effort from its default
-    if "effort" in settings and settings.get("mode", "exact") == "exact":
-        raise UsageError("effort is a search-mode setting")
     records, summary = audits.experiment_distance(
         **{"search_weight" if k == "w" else k: v
            for k, v in settings.items() if k not in ("out", "summary")},
@@ -829,23 +827,16 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="run the lemma/bound audits")
     sp.add_argument("target", choices=_VERIFY_TARGETS)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--w", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
+    for flag in ("n", "w", "p", "m", "trials", "seed"):
+        sp.add_argument(f"--{flag}", type=int)
     sp.add_argument("--json", dest="json_out", metavar="PATH")
     sp.add_argument("--const", action="append", metavar="NAME=VALUE")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("experiment", help="distance experiments over random codes")
     sp.add_argument("--config", help="key = value file; flags win")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
+    for flag in ("n", "p", "m", "trials", "seed"):
+        sp.add_argument(f"--{flag}", type=int)
     sp.add_argument("--mode", choices=("exact", "search"))
     sp.add_argument("--w", type=int, help="search-mode target weight")
     sp.add_argument("--effort", type=int)

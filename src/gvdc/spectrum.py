@@ -21,6 +21,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
+from .bounds import gv_guarantee
 from .codes import BitVec, CyclicCode, DoubleCirculantCode
 from .gf2poly import (BudgetExceededError, degree, divmod_raw, mod_raw,
                       ring_modulus, xgcd_raw)
@@ -551,16 +552,18 @@ def _column_orders(rng: random.Random, m: int, rounds: int, per_block: int):
         yield perm.T
 
 
-def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
+def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
+                      effort: int | None = None,
                       seed: int = 0) -> DistanceResult | None:
-    """Randomized information-set search for a codeword of weight <= w.
+    """Randomized information-set search for a codeword of weight <= w,
+    by default the volume-argument guarantee gv_guarantee(n).
 
     The generator rows, the codewords of the single-bit messages, are
-    examined first.  Then each of max(1, effort) rounds draws a column
-    permutation and eliminates the generator on it; the reduced rows are
-    examined in the order their pivots were found.  Ties go to the first
-    strict improvement: generator rows, then rounds in order.  Finding
-    nothing proves nothing.  Deterministic for a fixed seed.
+    examined first.  Then each of effort rounds, 200 by default, draws a
+    column permutation and eliminates the generator on it; the reduced
+    rows are examined in the order their pivots were found.  Ties go to
+    the first strict improvement: generator rows, then rounds in order.
+    Finding nothing proves nothing.  Deterministic for a fixed seed.
 
     Round i's column order is the i-th rng.sample(range(2n), 2n) of
     rng = random.Random(seed).  _column_orders replays those samples from
@@ -574,8 +577,12 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     row each pivot is taken from, and after elimination the row of pivot
     p is the unique codeword with a 1 at p and 0 at every other pivot."""
     n = code.n
+    w = gv_guarantee(n) if w is None else w
+    effort = 200 if effort is None else effort
     if w < 0:
         raise ValueError("w must be nonnegative")
+    if effort < 1:
+        raise ValueError("effort must be positive")
     if n > SEARCH_MAX_N:
         raise BudgetExceededError(
             f"search is offered for n <= {SEARCH_MAX_N}, not n = {n}")
@@ -593,8 +600,7 @@ def low_weight_search(code: DoubleCirculantCode, w: int, effort: int = 200,
     gen = np.array([[(r >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for r in rows0]
                     for k in range(nw)], dtype=np.uint64)
     per_block = max(1, _BLOCK // (n * nw))
-    for perm in _column_orders(random.Random(seed), 2 * n, max(1, effort),
-                               per_block):
+    for perm in _column_orders(random.Random(seed), 2 * n, effort, per_block):
         wt, word = _lightest_reduced_row(gen, perm)
         if wt < best_wt:
             best_wt, best = wt, word

@@ -328,13 +328,14 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
     sum_{i+j <= w/p^s} A_i(C) A_j(C) / (|C| n / p^s)."""
     if not is_prime(p) or p == 2 or m < 1:
         raise ValueError("need an odd prime p and m >= 1")
-    if w < 0:
-        raise ValueError("w must be nonnegative")
     n = p**m
+    W = bounds.weight_cap(2 * n, w)
+    if W < 0:
+        raise ValueError("w must be nonnegative")
     total = Fraction(0)
     for s in range(m):
         ns = n // p**s
-        ws = math.floor(Fraction(w) / p**s)
+        ws = W // p**s
         for code in nonrepetition_codes(ns):
             counts = _wd_cached(code).counts
             total += Fraction(_pairs_within(counts, counts, ws),
@@ -700,8 +701,8 @@ def _sample_trials(n: int, master_seed: int, indices) -> tuple[list, list]:
     return seeds, [dc_sample(n, s).a.bits for s in seeds]
 
 
-def _run_trials(n: int, master_seed: int, mode: str, search_weight: int,
-                effort: int, indices: range, stop: float) -> list[tuple]:
+def _run_trials(n: int, master_seed: int, mode: str, search_weight, effort,
+                indices: range, stop: float) -> list[tuple]:
     """(idx, seed, column bits, distance found) of each sampled trial in
     indices, in order, up to the first exact block or search trial that
     would start at or past stop, a time.monotonic() value.  Exact trials
@@ -726,18 +727,20 @@ def _run_trials(n: int, master_seed: int, mode: str, search_weight: int,
 
 
 def experiment_distance(n: int | None = None, p: int | None = None,
-                        m: int = 1, trials: int = 1000, seed: int = 0,
-                        mode: str = "exact", search_weight: int | None = None,
-                        effort: int = 200, exhaustive: bool = False,
+                        m: int | None = None, trials: int = 1000,
+                        seed: int = 0, mode: str = "exact",
+                        search_weight: int | None = None,
+                        effort: int | None = None, exhaustive: bool = False,
                         workers: int = 1, max_seconds: float | None = None,
                         consts: ProofConstants = CONSTANTS,
                         ) -> tuple[list[ExperimentRecord], dict]:
-    """Distance statistics for sampled (or all) circulant columns.
+    """Distance statistics for sampled (or all) circulant columns at
+    length n, or p^m with m = 1 by default: give n or p, not both.
 
     Exact mode records each code's exact minimum distance; search mode
-    records the best randomized witness at or below search_weight, which
-    must be nonnegative and defaults to the volume-argument guarantee;
-    search mode takes n <= SEARCH_MAX_N, and only it takes search_weight.
+    records the best witness low_weight_search(code, search_weight,
+    effort) finds, which leaves either to that function's default when
+    None; search mode takes n <= SEARCH_MAX_N, and only it takes them.
 
     Exact trials go to the distance engine in blocks of _TRIAL_BLOCK
     columns; search trials run one at a time.  Trials run in this process,
@@ -757,22 +760,24 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     truncated; the table is bounded by TABLE_MAX_N instead.  At n = 16,
     `gvdc experiment --n 16 --exhaustive` took about 0.5 s end to end on a
     shared 2-core machine, 0.03 s of it for the table."""
+    if (n is None) == (p is None) or (m is not None and p is None):
+        raise ValueError("give n, or p with an optional m, but not both")
+    if m is not None and m < 1:
+        raise ValueError(f"m must be at least 1, not {m}")
     if n is None:
-        if p is None:
-            raise ValueError("give n, or p (optionally with m)")
-        n = p**m
+        n = p if m is None else p**m
     if mode not in ("exact", "search"):
         raise ValueError("mode must be 'exact' or 'search'")
     if exhaustive and mode != "exact":
         raise ValueError("exhaustive runs are exact only")
-    if effort < 1:
-        raise ValueError("effort must be positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if search_weight is not None and search_weight < 0:
         raise ValueError("search weight must be nonnegative")
-    if search_weight is not None and mode == "exact":
-        raise ValueError("a search weight is a search-mode setting")
+    if mode == "exact" and (search_weight, effort) != (None, None):
+        raise ValueError("a search weight or effort is a search-mode setting")
+    if effort is not None and effort < 1:
+        raise ValueError("effort must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if max_seconds is not None and not max_seconds >= 0:
@@ -788,8 +793,6 @@ def experiment_distance(n: int | None = None, p: int | None = None,
         kind, threshold = "simple", bounds.simple_threshold(n)
     except ValueError:
         kind, threshold = "main", bounds.main_threshold(n, consts)
-    if search_weight is None:
-        search_weight = gv
     if exhaustive:
         rows = [(a, 0, a, d) for a, d in enumerate(dc_distance_table(n))]
         trials = len(rows)

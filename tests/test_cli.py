@@ -12,8 +12,12 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from gvdc import cli
 from gvdc.cli import main
+from gvdc.codes import BitVec, DoubleCirculantCode
+from gvdc.spectrum import low_weight_search
 from gvdc.verify import BRUTEFORCE_MAX_N, TABLE_MAX_N
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -206,7 +210,8 @@ def test_verify_rejects_out_of_range_audit_parameters():
         assert code == 1 and out == "", argv
 
 
-def test_flags_a_command_does_not_read_are_usage_errors():
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path):
+    out_path = tmp_path / "out"
     for argv in (["verify", "kappa", "--n", "5", "--w", "3"],
                  ["verify", "all", "--n", "9"],
                  ["verify", "triplesum", "--n", "9"],
@@ -221,6 +226,20 @@ def test_flags_a_command_does_not_read_are_usage_errors():
                  ["mindist", "--n", "3", "--a", "110", "--seed", "5"]):
         code, out = run_cli(argv)
         assert code == 1 and out == "", argv
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p = 13\n")
+    for argv in (["verify", "cx", "--n", "3", "--trials", "5"],
+                 ["verify", "kappa", "--seed", "3"],
+                 ["verify", "cx", "--const", "kappa=1/2"],
+                 ["verify", "orbit", "--n", "5", "--w", "2", "--seed", "9"],
+                 ["verify", "repetition", "--trials", "5"],
+                 ["experiment", "--n", "9", "--p", "3"],
+                 ["experiment", "--n", "9", "--m", "2"],
+                 ["experiment", "--p", "13", "--m", "0"],
+                 ["experiment", "--config", str(cfg), "--n", "9"]):
+        out_flag = "--json" if argv[0] == "verify" else "--out"
+        code, out = run_cli(argv + [out_flag, str(out_path)])
+        assert code == 1 and out == "" and not out_path.exists(), argv
     # the same flags where they are read
     code, out = run_cli(["mindist", "--n", "3", "--a", "110", "--search",
                          "--w", "3"])
@@ -230,6 +249,12 @@ def test_flags_a_command_does_not_read_are_usage_errors():
     assert code == 0 and out.startswith("d<=3 ")
     code, out = run_cli(["verify", "orbit", "--n", "5", "--w", "2"])
     assert code == 0 and "verified-exact" in out
+    for argv in (["triplesum", "--p", "5", "--m", "2", "--w", "3",
+                  "--trials", "5", "--seed", "1"],
+                 ["distrib", "--seed", "1"],
+                 ["c2series", "--const", "class_sum_cap=4.3"]):
+        code, out = run_cli(["verify", *argv])
+        assert code == 0 and "-- 1 checks, 0 violated" in out, argv
 
 
 def test_verify_sample_and_tr_limits_are_not_flags():
@@ -299,6 +324,10 @@ def test_effort_must_be_positive(tmp_path):
         assert code == 1 and out == ""
     code, out = run_cli(search + ["--effort", "1", "--w", "26"])
     assert code == 0 and out.startswith("d<=")
+    code13 = DoubleCirculantCode(13, BitVec(0x1b3, 13))
+    for effort in (0, -1):
+        with pytest.raises(ValueError, match="effort must be positive"):
+            low_weight_search(code13, 26, effort=effort)
 
     out_csv = tmp_path / "runs.csv"
     base = ["experiment", "--n", "13", "--mode", "search", "--trials", "2",

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+from gvdc import cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # public names that only the tests call, kept as the references they
@@ -168,7 +170,8 @@ def test_start_up_loads_only_what_a_run_uses(tmp_path):
     assert _fresh_run(script, tmp_path, OPENBLAS_NUM_THREADS="2") == "2"
 
 
-# run in a fresh interpreter: which audits run with mpmath already loaded
+# run in a fresh interpreter after a line setting argvs: whether mpmath was
+# loaded as each audit was timed, and at the end
 _VERIFY_TIMING = """
 import json, sys
 import gvdc.cli as cli
@@ -177,21 +180,34 @@ seen = []
 timed = cli._timed
 
 def watched(audit, *args, **kwargs):
-    seen.append([audit.__name__, "mpmath" in sys.modules])
+    seen.append("mpmath" in sys.modules)
     return timed(audit, *args, **kwargs)
 
 cli._timed = watched
-codes = [cli.main(["verify", "cx"])]
-cx_loads = "mpmath" in sys.modules
-codes.append(cli.main(["verify", "repetition"]))
-print(json.dumps({"codes": codes, "cx_loads": cx_loads, "seen": seen}))
+codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "seen": seen,
+                  "loaded": "mpmath" in sys.modules}))
 """
 
 
 def test_verify_loads_mpmath_before_timing_an_mpmath_audit(tmp_path):
-    # the import is not charged to the first audit that computes in it
-    state = json.loads(_fresh_run(_VERIFY_TIMING, tmp_path))
-    assert state["codes"] == [0, 0]
-    assert not state["cx_loads"]
-    assert state["seen"] == [["verify_lemma_cx", False]] * 4 + [
-        ["verify_repetition", True]]
+    # the import is not charged to the first audit that computes in it, and
+    # a target that computes in no mpmath does not load it: every target of
+    # the table, each mpmath one in an interpreter of its own
+    def argv(target):
+        reads, _ = cli._VERIFY_TARGETS[target]
+        return ["verify", target, *(["--trials", "1"] * ("trials" in reads))]
+
+    def run(targets):
+        script = f"argvs = {[argv(t) for t in targets]!r}\n" + _VERIFY_TIMING
+        state = json.loads(_fresh_run(script, tmp_path))
+        assert state["codes"] == [0] * len(targets), targets
+        return state
+
+    plain = [t for t, (_, mp) in cli._VERIFY_TARGETS.items() if not mp]
+    state = run(plain)
+    assert state["seen"] and not any(state["seen"]) and not state["loaded"]
+    for target, (_, mp) in cli._VERIFY_TARGETS.items():
+        if mp:
+            state = run([target])
+            assert state["seen"] and all(state["seen"]), target

@@ -199,6 +199,9 @@ def test_triple_sum_value_rejects_a_negative_weight():
     for p, m, w in ((5, 2, -1), (3, 2, -3)):
         with pytest.raises(ValueError, match="w must be nonnegative"):
             triple_sum_value(p, m, w)
+    for w in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="w must be finite"):
+            triple_sum_value(5, 1, w)
 
 
 def test_triple_sum_dominates_exact_probability():
@@ -594,6 +597,12 @@ def test_experiment_guards():
         experiment_distance(n=TABLE_MAX_N + 1, exhaustive=True)
     with pytest.raises(ValueError):
         experiment_distance(n=None, p=None)
+    # n or p = n^m, not both; m only with p, and at least 1; effort only
+    # in search mode
+    for bad in ({"n": 9, "p": 3}, {"n": 9, "m": 2}, {"p": 13, "m": 0},
+                {"n": 9, "effort": 5}):
+        with pytest.raises(ValueError):
+            experiment_distance(trials=1, **bad)
     with pytest.raises(ValueError):
         experiment_distance(n=13, mode="search", effort=0)
     with pytest.raises(ValueError):
