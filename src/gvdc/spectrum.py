@@ -122,7 +122,7 @@ EXACT_MAX_N = 28
 _K_BITS_MAX = 16
 
 # entries per block: (columns x rows) in a level of _min_codewords, (rows x
-# annihilator) in its left-side cosets, (rounds x words x n) in
+# annihilator) in its left-side cosets, uint64 words of elimination in
 # low_weight_search
 _BLOCK = 1 << 20
 
@@ -399,81 +399,122 @@ def dc_weight_distribution(code: DoubleCirculantCode) -> WeightDistribution:
     return WeightDistribution(2 * n, tuple(counts))
 
 
+def _count_lane(n: int) -> int:
+    """Bits of the lanes a search round's row weights are counted in: the
+    fewest of 8, 16 and 32 that hold 2n."""
+    return next(b for b in (8, 16, 32) if 2 * n < 1 << b)
+
+
+def _round_words(n: int) -> int:
+    """uint64 words _lightest_reduced_row allocates per round, at most:
+    the column array and its temporary, 2n columns of ceil(n / 64) row
+    words each; one row of those columns, 2n words; the weight count and
+    its transpose, _count_lane(n) words each for each row word; and the
+    step's flags, 9 words for each row word."""
+    return (4 * n + 2 * _count_lane(n) + 9) * ((n + 63) // 64) + 2 * n
+
+
 def _lightest_reduced_row(gen: np.ndarray,
                           perm: np.ndarray) -> tuple[int, int]:
     """(weight, word) of the first lightest row after Gauss-Jordan
     elimination of one generator in many rounds at once.
 
-    gen is (W, n): the n generator rows packed into W uint64 words, bit c
-    of a row in bit c % 64 of word c // 64.  perm is (R, 2n): each
+    gen is (2n, W): column c of the n generator rows packed into W uint64
+    words, row r in bit r % 64 of word r // 64.  perm is (R, 2n): each
     round's column order.  Each round walks its columns in that order; at
     a column where one of its rows that is not yet a pivot row has a 1,
     the first such row becomes the pivot row and is xored into every
     other row with a 1 there.  Rows are ranked round by round, and within
     a round in the order their pivots were found; ties go to the first.
 
+    The elimination runs on columns, cols[i, :, r] being round r's column
+    perm[r, i].  A processed column never changes again: a pivot column
+    is e_p, and a column found dependent has its 1s in pivot rows only,
+    never in the free row a later pivot is taken from.  So step i reads
+    column i as the rows with a 1 there, takes the lowest free one as the
+    pivot p, and xors the other hit rows into each column from i on with
+    a 1 in row p, which turns column i into e_p.  The row of pivot p has
+    its first 1 at its pivot column, which ranks it.
+
     Every array the column loop touches is allocated once per call, and
     each step writes into them with out= (take in clip mode, which does
     not buffer its output); the indices are always in range."""
-    words, n = gen.shape
-    rounds = perm.shape[0]
-    rows = np.repeat(gen[None], rounds, axis=0)
-    by_word = rows.reshape(rounds * words, n)
-    # 0/1 flags: hit, a row has a 1 at the column; free, a row is not yet a
-    # pivot row; cand, both
-    hit = np.empty((rounds, n), dtype=np.uint64)
-    free = np.ones_like(hit)
-    cand = np.empty_like(hit)
-    mask = np.empty_like(rows)
-    # a round without a pivot writes at its rank, which a later pivot
-    # overwrites, or, once it has all n, in the spare column n
-    order = np.empty((rounds, n + 1), dtype=np.intp)
-    rank = np.zeros(rounds, dtype=np.intp)
-    every = np.arange(rounds)
-    word_at = every * words
-    row_at = every * n
-    order_at = every * (n + 1)
-    prow_at = (word_at[:, None] + np.arange(words)) * n
-    word = np.empty(rounds, dtype=np.intp)
+    m, words = gen.shape
+    n, rounds = m // 2, perm.shape[0]
+    cols = np.empty((m, words, rounds), dtype=np.uint64)
+    tmp = np.empty_like(cols)
+    by_round = tmp.reshape(m, rounds, words)
+    np.take(gen, perm.T, axis=0, out=by_round, mode="clip")
+    cols[...] = by_round.transpose(0, 2, 1)
+    # rows that are not yet pivot rows
+    free = np.zeros((words, rounds), dtype=np.uint64)
+    for k in range(words):
+        free[k] = (1 << min(64, n - 64 * k)) - 1
+    piv = np.empty_like(free)
+    low = np.empty_like(free)
+    mask = np.empty_like(free)
+    offset = np.empty_like(free)
+    seen = np.empty(free.shape, dtype=bool)
     shift = np.empty(rounds, dtype=np.uint64)
-    piv = np.empty(rounds, dtype=np.intp)
     at = np.empty(rounds, dtype=np.intp)
-    got = np.empty(rounds, dtype=np.uint64)
-    at_prow = np.empty((rounds, words), dtype=np.intp)
-    prow = np.empty((rounds, words), dtype=np.uint64)
-    for c in perm.T:
-        np.right_shift(c, 6, out=word)
-        np.add(word, word_at, out=word)
-        np.take(by_word, word, axis=0, out=hit, mode="clip")
-        np.bitwise_and(c, 63, out=shift)
-        np.right_shift(hit, shift[:, None], out=hit)
-        np.bitwise_and(hit, 1, out=hit)
-        np.bitwise_and(hit, free, out=cand)
-        np.argmax(cand, axis=1, out=piv)
-        np.add(row_at, piv, out=at)
-        np.take(cand, at, out=got, mode="clip")
-        # the pivot row leaves the free rows (it was free where got is 1)
-        # and is not xored into itself
-        np.subtract.at(free.reshape(-1), at, got)
-        np.put(hit, at, 0)
-        np.add(prow_at, piv[:, None], out=at_prow)
-        np.take(rows, at_prow, out=prow, mode="clip")
-        # a round without a pivot xors zero
-        np.multiply(prow, got[:, None], out=prow)
-        np.negative(hit, out=hit)
-        np.bitwise_and(prow[:, :, None], hit[:, None, :], out=mask)
-        np.bitwise_xor(rows, mask, out=rows)
-        np.add(order_at, rank, out=at)
-        np.put(order, at, piv)
-        np.add(rank, got.view(np.intp), out=rank)
-        if rank.min() == n:
+    every = np.arange(rounds)
+    # row p of each column from i on, as 0/1
+    in_p = np.empty((m, rounds), dtype=np.uint64)
+    for i in range(m):
+        hit = cols[i]
+        np.bitwise_and(hit, free, out=piv)
+        np.negative(piv, out=low)
+        np.bitwise_and(piv, low, out=piv)
+        if words > 1:
+            # the lowest free hit row is in the first word that has one
+            np.not_equal(piv, 0, out=seen)
+            np.logical_or.accumulate(seen, axis=0, out=seen)
+            np.logical_not(seen, out=seen)
+            np.multiply(piv[1:], seen[:-1], out=piv[1:])
+        np.bitwise_xor(free, piv, out=free)
+        # the hit rows other than the pivot row; a round without a pivot
+        # reads no 1 in row p below, whatever this holds
+        np.bitwise_xor(hit, piv, out=mask)
+        # p's bit in its word, and 64 in every other word: a shift by 64
+        # leaves 0
+        np.subtract(piv, 1, out=offset)
+        np.bitwise_count(offset, out=offset)
+        rest = cols[i:]
+        row = in_p[:m - i]
+        if words > 1:
+            np.argmin(offset, axis=0, out=at)
+            np.min(offset, axis=0, out=shift)
+            np.multiply(at, rounds, out=at)
+            np.add(at, every, out=at)
+            np.take(rest.reshape(m - i, -1), at, axis=1, out=row, mode="clip")
+            np.right_shift(row, shift, out=row)
+        else:
+            np.right_shift(rest[:, 0], offset[0], out=row)
+        np.bitwise_and(row, 1, out=row)
+        t = tmp[:m - i]
+        np.multiply(row[:, None], mask, out=t)
+        np.bitwise_xor(rest, t, out=rest)
+        if i >= n - 1 and not free.any():
             break
-    order = order[:, :n]
-    wts = np.take_along_axis(np.bitwise_count(rows).sum(axis=1), order,
-                             axis=1)
-    r, j = divmod(int(wts.argmin()), n)
-    row = rows[r, :, order[r, j]]
-    return int(wts[r, j]), sum(int(v) << (64 * k) for k, v in enumerate(row))
+    # the row weights, counted down the columns in lanes: lane l of plane
+    # k adds up row lane * l + k of each word, at most 2n < 2^lane
+    lane = _count_lane(n)
+    ones = np.uint64(sum(1 << b for b in range(0, 64, lane)))
+    count = np.empty((lane, words, rounds), dtype=np.uint64)
+    for k in range(lane):
+        np.right_shift(cols, k, out=tmp)
+        np.bitwise_and(tmp, ones, out=tmp)
+        np.add.reduce(tmp, axis=0, out=count[k])
+    wts = count.astype("<u8", copy=False).view(f"<u{lane // 8}").reshape(
+        lane, words, rounds, 64 // lane)
+    wts = wts.transpose(2, 1, 3, 0).reshape(rounds, 64 * words)[:, :n]
+    r = int(wts.argmin()) // n
+    wt = wts[r].min()
+    bits = np.unpackbits(cols[:, :, r].astype("<u8").view(np.uint8),
+                         axis=1, bitorder="little")
+    ties = np.flatnonzero(wts[r] == wt)
+    p = ties[bits[:, ties].argmax(axis=0).argmin()]
+    return int(wt), sum(1 << int(c) for c in perm[r, bits[:, p] == 1])
 
 
 # A draw of the search's column orders is written as one code point,
@@ -570,12 +611,16 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
     bulk draws of the same generator, so the orders, and every value and
     witness, are sample's; the replay bounds n by SEARCH_MAX_N.
 
-    Rounds are eliminated together, in blocks of at most _BLOCK
-    (rounds x words x n) entries, so memory stays flat in effort.  This
-    cannot change a value or a witness.  A round's pivots are the first n
-    columns of its permutation that are independent on the code, whatever
-    row each pivot is taken from, and after elimination the row of pivot
-    p is the unique codeword with a 1 at p and 0 at every other pivot."""
+    Rounds are eliminated together, in blocks of as many rounds as fit in
+    _BLOCK uint64 words at _round_words(n) a round, and at least one, so
+    memory stays flat in effort.  A round takes its 2n columns of n row
+    bits and a temporary as large, one row of them, and its row weights,
+    counted in 8-bit lanes while 2n <= 255 and in 16- or 32-bit lanes past
+    that, never by unpacking every bit.  This cannot change a value or a
+    witness.  A round's pivots are the first n columns of its permutation
+    that are independent on the code, whatever row each pivot is taken
+    from, and after elimination the row of pivot p is the unique codeword
+    with a 1 at p and 0 at every other pivot."""
     n = code.n
     w = gv_guarantee(n) if w is None else w
     effort = 200 if effort is None else effort
@@ -596,10 +641,15 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
         if 0 < wt < best_wt:
             best_wt = wt
             best = r
-    nw = (2 * n + 63) // 64
-    gen = np.array([[(r >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for r in rows0]
-                    for k in range(nw)], dtype=np.uint64)
-    per_block = max(1, _BLOCK // (n * nw))
+    # the generator column by column, row r in bit r % 64 of word r // 64
+    size = (2 * n + 7) // 8
+    bits = np.zeros((2 * n, -n % 64 + n), dtype=np.uint8)
+    bits[:, :n] = np.unpackbits(np.frombuffer(b"".join(
+        r.to_bytes(size, "little") for r in rows0), dtype=np.uint8).reshape(
+        n, size), axis=1, count=2 * n, bitorder="little").T
+    gen = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    gen = gen.astype(np.uint64)
+    per_block = max(1, _BLOCK // _round_words(n))
     for perm in _column_orders(random.Random(seed), 2 * n, effort, per_block):
         wt, word = _lightest_reduced_row(gen, perm)
         if wt < best_wt:

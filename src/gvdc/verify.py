@@ -671,7 +671,7 @@ def verify_c2_and_series(consts: ProofConstants = CONSTANTS) -> LemmaReport:
     c2 = Fraction(str(consts.class_sum_cap))
     first_kasami = next_kasami_prime(consts.prime_floor)
     chain = consts.ball_fraction * c2 + 2 * c2 / first_kasami
-    tail = bounds.CONSTANTS.gamma() ** (first_kasami - 1)
+    tail = consts.gamma() ** (first_kasami - 1)
     if not (chain < 1 and tail < mpf("1e-100")):
         return LemmaReport("class-sum-and-series", {}, VIOLATED,
                            str(chain), "1")
@@ -762,8 +762,9 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     shared 2-core machine, 0.03 s of it for the table."""
     if (n is None) == (p is None) or (m is not None and p is None):
         raise ValueError("give n, or p with an optional m, but not both")
-    if m is not None and m < 1:
-        raise ValueError(f"m must be at least 1, not {m}")
+    if p is not None and (not is_prime(p) or p == 2
+                          or m is not None and m < 1):
+        raise ValueError("need an odd prime p and m >= 1")
     if n is None:
         n = p if m is None else p**m
     if mode not in ("exact", "search"):

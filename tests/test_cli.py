@@ -257,6 +257,14 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path):
         assert code == 0 and "-- 1 checks, 0 violated" in out, argv
 
 
+def test_c2series_tail_reads_the_decay_constant():
+    # the geometric tail at the first Kasami prime 2789 is gamma^2788
+    code, out = run_cli(["verify", "c2series"])
+    assert code == 0 and "tail at 2789 is 1.4e-168 " in out
+    code, out = run_cli(["verify", "c2series", "--const", "decay_log2=-1"])
+    assert code == 0 and "tail at 2789 is 5.35e-840 " in out
+
+
 def test_verify_sample_and_tr_limits_are_not_flags():
     for flag in ("--samples", "--max-tr"):
         code, out = run_cli(["verify", "repetition", flag, "0"])
@@ -348,7 +356,9 @@ def test_experiment_usage_errors(tmp_path):
     for argv in (["--n", "9", "--trials", "-5"],
                  ["--n", "9", "--exhaustive", "--mode", "search"],
                  ["--n", "9", "--max-seconds", "nan"],
-                 ["--n", "9", "--max-seconds=-1"]):
+                 ["--n", "9", "--max-seconds=-1"],
+                 ["--p", "-3", "--m", "2"], ["--p", "1", "--m", "3"],
+                 ["--p", "9"], ["--p", "2"]):
         code, out = run_cli(["experiment", *argv, "--out", str(out_csv)])
         assert code == 1 and out == "" and not out_csv.exists(), argv
 

@@ -360,14 +360,16 @@ def reference_low_weight_search(code, w, effort=200, seed=0):
 
 
 def test_low_weight_search_matches_scalar_reference(monkeypatch):
+    # a column takes one 64-bit word of row bits up to n = 64, two up to
+    # n = 128 and three at n = 129; 2n > 255 counts weights in 16-bit lanes
     rng = random.Random(11)
-    for k, n in enumerate((1, 2, 5, 13, 31, 32, 33, 61, 64, 65, 61, 13)):
-        words = (2 * n + 63) // 64
+    for k, n in enumerate((1, 2, 5, 13, 31, 32, 33, 61, 64, 65, 61, 13,
+                           127, 128, 129)):
         a = rng.getrandbits(n)
         # even weight, every other time, means a multiple of 1 + Z
         a ^= (a.bit_count() + k) % 2
         code = DoubleCirculantCode(n, BitVec(a, n))
-        for effort in (1, 3, 200):
+        for effort in (1, 3, 200) if n < 127 else (1, 3):
             seed = rng.getrandbits(16)
             ref = reference_low_weight_search(code, 2 * n, effort, seed)
             got = low_weight_search(code, 2 * n, effort, seed)
@@ -378,7 +380,14 @@ def test_low_weight_search_matches_scalar_reference(monkeypatch):
             # seven rounds, or one, to a block: one call spans several
             for per_block in (7, 1):
                 with monkeypatch.context() as m:
-                    m.setattr(spectrum, "_BLOCK", per_block * n * words)
+                    m.setattr(spectrum, "_BLOCK",
+                              per_block * spectrum._round_words(n))
+                    assert low_weight_search(code, 2 * n, effort,
+                                             seed) == ref
+            # any lane that holds 2n counts the same weights
+            for lane in (16, 32):
+                with monkeypatch.context() as m:
+                    m.setattr(spectrum, "_count_lane", lambda n: lane)
                     assert low_weight_search(code, 2 * n, effort,
                                              seed) == ref
 

@@ -597,12 +597,15 @@ def test_experiment_guards():
         experiment_distance(n=TABLE_MAX_N + 1, exhaustive=True)
     with pytest.raises(ValueError):
         experiment_distance(n=None, p=None)
-    # n or p = n^m, not both; m only with p, and at least 1; effort only
-    # in search mode
+    # n or p^m, not both, with p an odd prime; m only with p, and at
+    # least 1; effort only in search mode
     for bad in ({"n": 9, "p": 3}, {"n": 9, "m": 2}, {"p": 13, "m": 0},
                 {"n": 9, "effort": 5}):
         with pytest.raises(ValueError):
             experiment_distance(trials=1, **bad)
+    for p, m in ((-3, 2), (1, 3), (9, None), (2, None)):
+        with pytest.raises(ValueError, match="need an odd prime p"):
+            experiment_distance(p=p, m=m, trials=1)
     with pytest.raises(ValueError):
         experiment_distance(n=13, mode="search", effort=0)
     with pytest.raises(ValueError):
@@ -635,8 +638,9 @@ def test_experiment_truncation_budget():
 
 
 def test_experiment_search_truncation_budget():
-    # a search trial at n = 61 costs about 0.1 s, so the deadline has to
-    # be checked between trials, not between 64-trial blocks
+    # a search trial at n = 61 costs about 10 ms, so 64-trial blocks
+    # could overrun the budget: the deadline has to be checked between
+    # trials, not between blocks
     t0 = time.monotonic()
     records, summary = experiment_distance(
         n=61, mode="search", trials=1000, seed=0, max_seconds=0.5
