@@ -1,11 +1,11 @@
 """Hamming-ball volumes, guarantee thresholds, and the analytic estimates
 behind the improved existence bound for double circulant codes.
 
-Combinatorial quantities are exact integers or rationals.  Analytic
-quantities run through mpmath at 40 significant digits, well past the
-80-bit mantissa the numeric audits require; each analytic function loads
-mpmath from gvdc._mp when it is first called, so the integer thresholds
-of the experiments never load it.  The tail exponent
+Combinatorial quantities are exact integers or rationals, the rational
+factor of the syndrome-count cap among them.  Transcendental quantities
+run through mpmath at 40 significant digits, well past the 80-bit mantissa
+the numeric audits require; each loads mpmath from gvdc._mp when first
+called, so the exact quantities never load it.  The tail exponent
 log2(1 + (1 - 2 alpha)^t) - t D(alpha || iota) is written once in mpmath,
 in an evaluator that fixes iota and computes its logarithms a single time;
 every value the module returns comes from it.  Its maximum over alpha
@@ -62,11 +62,19 @@ class ProofConstants:
 CONSTANTS = ProofConstants()
 
 
+def binomials(m: int, kmax: int) -> list[int]:
+    """C(m, k) for k <= kmax, by C(m, k + 1) = C(m, k) (m - k) / (k + 1)."""
+    out = [1]
+    for k in range(kmax):
+        out.append(out[-1] * (m - k) // (k + 1))
+    return out
+
+
 def volume(n: int, d: int) -> int:
     """|B_n(d)| with the zero word: sum of C(n, i) for i <= d."""
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    return sum(math.comb(n, i) for i in range(d + 1))
+    return sum(binomials(n, d))
 
 
 def weight_cap(length: int, w) -> int:
@@ -146,16 +154,14 @@ def stirling_lower(n: int, w: int) -> mpf:
     return mpf(2) ** (n * _entropy_mp(om)) / sqrt(8 * n * om * (1 - om))
 
 
-def repetition_bound(r: int, t: int, w: int) -> mpf:
-    """Cap on the number of weight-w words with a prescribed syndrome under
-    t stacked copies of an r x r identity block:
-    sqrt(2rt) ((1 + |1 - 2w/(tr)|^t) / 2)^r C(tr, w)."""
+def repetition_cap_factor(r: int, t: int, w: int) -> Fraction:
+    """Q = ((1 + |1 - 2w/(tr)|^t) / 2)^r C(tr, w), where sqrt(2rt) Q caps
+    the number of weight-w words with a prescribed syndrome under t stacked
+    copies of an r x r identity block: c is within it iff c^2 <= 2rt Q^2."""
     if r < 1 or t < 1 or not 0 <= w <= t * r:
         raise ValueError("need r, t >= 1 and 0 <= w <= tr")
-    from ._mp import mpf, sqrt
-
-    om = mpf(w) / (t * r)
-    return sqrt(2 * r * t) * ((1 + abs(1 - 2 * om) ** t) / 2) ** r * math.comb(t * r, w)
+    om = Fraction(w, t * r)
+    return ((1 + abs(1 - 2 * om) ** t) / 2) ** r * math.comb(t * r, w)
 
 
 def _tail_exponent(i: mpf, t: int):
@@ -256,7 +262,8 @@ def class_sum_bound(p: int, consts: ProofConstants = CONSTANTS) -> mpf:
 
 def level_series_bound(p: int, m: int) -> mpf:
     """Sum over proper repetition levels s = 1..m-1 of (p^s / n) n^(1/p^s)
-    with n = p^m; empty (zero) at m = 1, and at most 2/p for p >= 3."""
+    with n = p^m; empty (zero) at m = 1.  Checked against 2/p for m <= 6 at
+    the ten primes past prime_floor; at p = 3 it exceeds 2/p for m = 2..4."""
     if p < 2 or m < 1:
         raise ValueError("p >= 2 and m >= 1 required")
     from ._mp import mpf, power

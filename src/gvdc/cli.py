@@ -50,8 +50,8 @@ _VERIFY_TARGETS = {
     "cx": ({"n"}, False),
     "orbit": ({"n", "w"}, False),
     "triplesum": ({"w", "p", "m", "trials", "seed"}, False),
-    "repetition": (set(), True),
-    "distrib": ({"seed"}, True),
+    "repetition": (set(), False),
+    "distrib": ({"seed"}, False),
     "kappa": ({"const"}, True),
     "enumeration": ({"n", "const"}, True),
     "c2series": ({"const"}, True),
@@ -180,9 +180,9 @@ def _iso(stamp: float) -> str:
 
 def _emit_outputs(command: str, config: dict, outputs: dict[str, bytes],
                   primary: str, input_hashes: dict[str, str],
-                  started: float) -> None:
+                  started: float, **extra) -> None:
     """Write every output atomically, then the manifest sidecar next to the
-    primary output."""
+    primary output, with the entries of extra added to it."""
     for path, data in outputs.items():
         _write_atomic(path, data)
     manifest = {
@@ -194,6 +194,7 @@ def _emit_outputs(command: str, config: dict, outputs: dict[str, bytes],
         "input_hashes": dict(sorted(input_hashes.items())),
         "outputs": {os.path.basename(p): _sha256(d)
                     for p, d in sorted(outputs.items())},
+        **extra,
     }
     blob = json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n"
     _write_atomic(primary + ".manifest.json", blob)
@@ -399,6 +400,10 @@ def _timed(audit, *args, **kwargs) -> list[tuple]:
     return [(r, runtime) for r in (out if isinstance(out, list) else [out])]
 
 
+def _params(report) -> str:
+    return " ".join(f"{k}={v}" for k, v in report.parameters.items())
+
+
 def _print_reports(rows) -> None:
     """One line per (report, runtime) row, then the violation count."""
     if not rows:
@@ -406,9 +411,8 @@ def _print_reports(rows) -> None:
         return
     width = max(len(r.lemma) for r, _ in rows)
     for r, runtime in rows:
-        params = " ".join(f"{k}={v}" for k, v in r.parameters.items())
         line = (f"{r.lemma:<{width}}  {r.status:<17}  lhs={r.lhs}  rhs={r.rhs}"
-                f"  [{params}]  ({runtime:.2f}s)")
+                f"  [{_params(r)}]  ({runtime:.2f}s)")
         print(line)
         if r.counterexample:
             print(f"{'':<{width}}  counterexample: {r.counterexample}")
@@ -492,8 +496,10 @@ def cmd_verify(args) -> int:
     config = {"target": target, "trials": trials, "seed": seed, **echo}
     if args.json_out:
         blob = _report_json(rows, config)
+        # each report's runtime is that of the audit call that made it
         _emit_outputs("verify", config, {args.json_out: blob}, args.json_out,
-                      {}, started)
+                      {}, started, runtimes_s={f"{r.lemma} [{_params(r)}]": t
+                                               for r, t in rows})
         print(f"wrote {args.json_out}")
     return EXIT_VIOLATED if any(not r.ok() for r, _ in rows) else EXIT_OK
 

@@ -632,15 +632,11 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
         raise BudgetExceededError(
             f"search is offered for n <= {SEARCH_MAX_N}, not n = {n}")
     rows0 = code.generator_rows()
-    best = None
-    best_wt = 2 * n + 1
     # the generator is already systematic on the right half: its rows are
-    # the single-bit-message codewords, weight 1 + wt(a)
-    for r in rows0:
-        wt = r.bit_count()
-        if 0 < wt < best_wt:
-            best_wt = wt
-            best = r
+    # the single-bit-message codewords, all of weight 1 + wt(a), so the
+    # first of them is the first lightest
+    best = rows0[0]
+    best_wt = best.bit_count()
     # the generator column by column, row r in bit r % 64 of word r // 64
     size = (2 * n + 7) // 8
     bits = np.zeros((2 * n, -n % 64 + n), dtype=np.uint8)
@@ -654,6 +650,6 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
         wt, word = _lightest_reduced_row(gen, perm)
         if wt < best_wt:
             best_wt, best = wt, word
-    if best is not None and best_wt <= w:
+    if best_wt <= w:
         return DistanceResult(best_wt, BitVec(best, 2 * n), False)
     return None

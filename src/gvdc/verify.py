@@ -455,37 +455,36 @@ def verify_repetition() -> LemmaReport:
 
     The counts come from the parity polynomials of
     _syndrome_class_counts, one row per syndrome weight; the tests check
-    them against full enumeration of the words.  Cases are reported in
-    (s, w) order, so a violation names the least syndrome s = 2^j - 1 of
-    its class."""
-    from ._mp import mpf, nstr
-
+    them against full enumeration of the words.  The cap is sqrt(2rt) Q
+    with Q rational, so a count c is compared as c^2 <= 2rt Q^2, and a
+    tight case is exact equality.  Cases are reported in (s, w) order, so
+    a violation names the least syndrome s = 2^j - 1 of its class."""
     params = {"max_tr": _REPETITION_MAX_TR}
-    worst_ratio = 0.0
+    # the greatest count^2 / cap^2, as a numerator and denominator
+    worst = (0, 1)
     worst_at = None
     equalities = []
     for total in range(1, _REPETITION_MAX_TR + 1):
         for r in (d for d in range(1, total + 1) if total % d == 0):
             t = total // r
-            counts = _syndrome_class_counts(r, t)
-            caps = [bounds.repetition_bound(r, t, w) for w in range(total + 1)]
-            caps_f = np.array([float(c) for c in caps])
-            ratios = counts / caps_f
-            peak = float(ratios.max())
-            if peak > worst_ratio:
-                worst_ratio = peak
-                worst_at = (r, t)
-            # near or past the cap in float: recheck against mpf exactly
+            qs = [bounds.repetition_cap_factor(r, t, w)
+                  for w in range(total + 1)]
             tight: dict[int, list[int]] = {}
-            for j, w in np.argwhere(ratios > 1 - 1e-9).tolist():
-                cnt = int(counts[j, w])
-                if mpf(cnt) > caps[w]:
-                    return LemmaReport(
-                        "syndrome-count-cap", params, VIOLATED,
-                        str(cnt), nstr(caps[w], 12),
-                        counterexample=f"r={r} t={t} w={w} s={(1 << j) - 1}")
-                if mpf(cnt) == caps[w]:
-                    tight.setdefault(j, []).append(w)
+            for j, row in enumerate(_syndrome_class_counts(r, t).tolist()):
+                for w, cnt in enumerate(row):
+                    # count^2 / cap^2 = (count b)^2 / (2 total a^2), Q = a/b
+                    num = (cnt * qs[w].denominator) ** 2
+                    den = 2 * total * qs[w].numerator ** 2
+                    if num > den:
+                        return LemmaReport(
+                            "syndrome-count-cap", params, VIOLATED,
+                            str(cnt), f"{math.sqrt(2 * total) * qs[w]:.12g}",
+                            counterexample=f"r={r} t={t} w={w} s={(1 << j) - 1}")
+                    if num == den:
+                        tight.setdefault(j, []).append(w)
+                    if num * worst[1] > worst[0] * den:
+                        worst = (num, den)
+                        worst_at = (r, t)
             # only the first four tight cases are reported
             if tight and len(equalities) < 4:
                 for s in range(1 << r):
@@ -493,9 +492,10 @@ def verify_repetition() -> LemmaReport:
                                    for w in tight.get(s.bit_count(), ())]
                     if len(equalities) >= 4:
                         break
+    ratio = math.sqrt(worst[0] / worst[1])
     return LemmaReport(
         "syndrome-count-cap", params, VERIFIED_NUMERIC,
-        f"max count/cap ratio {worst_ratio:.9f} at (r,t)={worst_at}",
+        f"max count/cap ratio {ratio:.9f} at (r,t)={worst_at}",
         "1", notes=f"tight cases (r,t,w,s): {equalities[:4]}")
 
 
@@ -522,31 +522,30 @@ def _block_code_weights(r: int, t: int, cols: list[int],
 def verify_distrib_inequality(seed: int = 7) -> LemmaReport:
     """Random-instance audit of the convolution cap on the weight
     distribution of codes cut out by r parity rows on a repeated identity
-    block plus arbitrary extra columns; checked for every i >= t r."""
+    block plus arbitrary extra columns; checked for every i >= t r.
+
+    The cap at i is sqrt(2rt) S_i with S_i = sum over j of
+    repetition_cap_factor(r, t, j) C(extra, i - j), compared squared in
+    rationals as for the syndrome count cap."""
     params = {"samples": _DISTRIB_SAMPLES, "seed": seed}
     rng = random.Random(seed)
-    from ._mp import mpf, nstr, sqrt
-
     for trial in range(_DISTRIB_SAMPLES):
         r = rng.randint(1, 4)
         t = rng.randint(2, 4)
         tr = t * r
         extra = rng.randint(0, min(8, 16 - tr))
-        n = tr + extra
         cols = [rng.getrandbits(extra) for _ in range(r)]
         counts = _block_code_weights(r, t, cols, extra)
-        lead = sqrt(2 * tr)
-        for i in range(tr, n + 1):
-            cap = mpf(0)
-            for j in range(max(0, i - extra), min(tr, i) + 1):
-                om = mpf(j) / tr
-                cap += ((1 + abs(1 - 2 * om) ** t) / 2) ** r \
-                    * math.comb(tr, j) * math.comb(extra, i - j)
-            cap *= lead
-            if mpf(counts[i]) > cap:
+        qs = [bounds.repetition_cap_factor(r, t, j) for j in range(tr + 1)]
+        ext = bounds.binomials(extra, extra)
+        for i in range(tr, tr + extra + 1):
+            # the cap is sqrt(2rt) times this rational sum
+            cap_q = sum(qs[j] * ext[i - j]
+                        for j in range(max(0, i - extra), min(tr, i) + 1))
+            if counts[i] ** 2 > 2 * tr * cap_q ** 2:
                 return LemmaReport(
                     "spectrum-convolution-cap", params, VIOLATED,
-                    str(counts[i]), nstr(cap, 12),
+                    str(counts[i]), f"{math.sqrt(2 * tr) * cap_q:.12g}",
                     counterexample=f"trial={trial} r={r} t={t} extra={extra} i={i}")
     return LemmaReport(
         "spectrum-convolution-cap", params, VERIFIED_NUMERIC,
@@ -601,15 +600,6 @@ def verify_kappa_numerics(consts: ProofConstants = CONSTANTS) -> LemmaReport:
 _OMEGA_GRID = tuple(Fraction(k, 1000) for k in range(100, 125))
 
 
-def _binomials(m: int, kmax: int) -> list[int]:
-    """C(m, k) for k = 0..kmax, by C(m, k + 1) = C(m, k) (m - k) / (k + 1),
-    which divides exactly at every step."""
-    out = [1]
-    for k in range(kmax):
-        out.append(out[-1] * (m - k) // (k + 1))
-    return out
-
-
 def verify_enumeration(n: int | None = None,
                        consts: ProofConstants = CONSTANTS) -> LemmaReport:
     """Exact big-integer audit of the split tail count: twice the sum of
@@ -627,8 +617,8 @@ def verify_enumeration(n: int | None = None,
     imax = math.ceil(consts.kappa * n) - 1
     eps_up = math.ceil(consts.epsilon * n)
     wmax = max(math.floor(2 * om * n) for om in _OMEGA_GRID)
-    binom = _binomials(n, min(wmax, n))
-    pref2 = [0, *accumulate(_binomials(2 * n, wmax))]
+    binom = bounds.binomials(n, min(wmax, n))
+    pref2 = [0, *accumulate(bounds.binomials(2 * n, wmax))]
     margin = bounds.enumeration_margin(n, consts=consts)
     if margin < mpf(str(consts.epsilon)):
         return LemmaReport("split-tail-count", {"n": n}, VIOLATED,

@@ -10,12 +10,18 @@ from mpmath import log, mpf, nstr
 
 from gvdc import bounds
 from gvdc.bounds import (CONSTANTS, ProofConstants, _entropy_mp,
-                         ball_nonzero, ball_rate_ok, class_sum_bound,
-                         enumeration_margin, gv_guarantee,
+                         ball_nonzero, ball_rate_ok, binomials,
+                         class_sum_bound, enumeration_margin, gv_guarantee,
                          level_series_bound, main_threshold,
                          max_weight_tail_exponent, overhead_exponent_cap,
-                         repetition_bound, simple_prob_bound,
+                         repetition_cap_factor, simple_prob_bound,
                          simple_threshold, stirling_lower, volume)
+
+
+def test_binomials_by_recurrence_match_comb():
+    for m in (2744, 5488):
+        assert binomials(m, 700) == [math.comb(m, k) for k in range(701)]
+    assert binomials(5, 7) == [1, 5, 10, 10, 5, 1, 0, 0]
 
 
 def test_volume_is_partial_binomial_sum():
@@ -100,9 +106,15 @@ def test_stirling_lower_bounds_binomials():
 
 
 def test_repetition_bound_values():
-    assert repetition_bound(1, 2, 1) == 2.0
+    # the cap is sqrt(2rt) Q: 2 at (r, t, w) = (1, 2, 1)
+    assert repetition_cap_factor(1, 2, 1) == 1
+    assert 2 * 1 * 2 * repetition_cap_factor(1, 2, 1) ** 2 == 2 ** 2
+    # ((1 + (1/2)^2) / 2)^2 C(4, 3) at (r, t, w) = (2, 2, 3)
+    assert repetition_cap_factor(2, 2, 3) == Fraction(25, 16)
     # counts of low-weight multiples never exceed the cap on small cases
-    assert repetition_bound(2, 2, 3) >= 1
+    assert 2 * 2 * 2 * repetition_cap_factor(2, 2, 3) ** 2 >= 1
+    with pytest.raises(ValueError):
+        repetition_cap_factor(1, 2, 3)
 
 
 def test_weight_tail_exponent_cap():

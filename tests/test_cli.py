@@ -3,7 +3,7 @@
 import ast
 import contextlib
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -281,6 +281,36 @@ def test_verify_json_omits_runtimes(tmp_path):
     assert "runtime" not in json.dumps(doc)
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert "report.json" in manifest["outputs"]
+    # one runtime per report, keyed by its lemma and parameters
+    runtimes = manifest["runtimes_s"]
+    assert len(runtimes) == len(doc["reports"])
+    assert sorted(key.split(" [")[0] for key in runtimes) == \
+        sorted(r["lemma"] for r in doc["reports"])
+    assert all(v >= 0 for v in runtimes.values())
+
+
+def test_benchmark_outputs_match_the_reference_bytes(tmp_path, monkeypatch):
+    # the three benchmark command lines at seed 0, checked as the benchmark
+    # checks them: every report and trial, and the sha256 of every output
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    import checks
+
+    ref = checks.load_reference()
+    env = {k: v for k, v in os.environ.items() if k != "GVDC_WORKERS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(PERFBENCH), "src"),
+                    env.get("PYTHONPATH")) if p)
+    for name, wl in sorted(run.WORKLOADS.items()):
+        out = str(tmp_path / name)
+        os.makedirs(out)
+        proc = subprocess.run([sys.executable, "-m", "gvdc", *wl.argv(0, out)],
+                              env=env, capture_output=True, timeout=120)
+        attempted, failed, problems = wl.check(out, 0, proc.returncode, ref)
+        assert attempted and (failed, problems) == (0, []), name
 
 
 def test_experiment_csv_and_summary(tmp_path):

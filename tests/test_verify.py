@@ -320,6 +320,25 @@ def test_verify_repetition_catches_an_inflated_count(monkeypatch):
         assert int(r.lhs) == counts(3, 2)[j, w] + (1 << 20)
 
 
+def test_verify_repetition_catches_a_tight_count_raised_by_one(monkeypatch):
+    # at (r, t) = (1, 2) the 2 words of weight 1 have syndrome s = 1 and
+    # meet the cap sqrt(4) Q = 2 exactly; a third is one past it
+    counts = verify._syndrome_class_counts
+
+    def raised(r, t):
+        table = counts(r, t)
+        if (r, t) == (1, 2):
+            assert table[1, 1] == 2
+            table[1, 1] += 1
+        return table
+
+    monkeypatch.setattr(verify, "_syndrome_class_counts", raised)
+    r = verify.verify_repetition()
+    assert r.status == VIOLATED
+    assert r.counterexample == "r=1 t=2 w=1 s=1"
+    assert r.lhs == "3"
+
+
 def test_block_code_weights_match_loop():
     rng = random.Random(11)
     for r, t, extra in [(1, 2, 0), (2, 3, 4), (3, 2, 5), (4, 2, 8), (2, 4, 6)]:
@@ -569,13 +588,6 @@ def test_enumeration_rejects_n_below_the_floor():
     for n in (1, 100, verify.CONSTANTS.n_floor - 1):
         with pytest.raises(ValueError, match="n_floor"):
             verify.verify_enumeration(n)
-
-
-def test_binomials_by_recurrence_match_comb():
-    for m in (2744, 5488):
-        assert verify._binomials(m, 700) == [math.comb(m, k)
-                                             for k in range(701)]
-    assert verify._binomials(5, 7) == [1, 5, 10, 10, 5, 1, 0, 0]
 
 
 def test_experiment_search_mode():
