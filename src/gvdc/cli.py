@@ -197,7 +197,8 @@ def _emit_outputs(command: str, config: dict, outputs: dict[str, bytes],
         **extra,
     }
     blob = json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n"
-    _write_atomic(primary + ".manifest.json", blob)
+    _write_atomic(os.path.join(os.path.dirname(primary),
+                               _manifest_header(primary, config)[0]), blob)
 
 
 def _csv_bytes(header: list[str], rows: list[list], comments: list[str]) -> bytes:
@@ -212,6 +213,13 @@ def _config_comment(config: dict) -> str:
     return "config: " + " ".join(f"{k}={v}" for k, v in sorted(config.items()))
 
 
+def _manifest_header(primary: str, config: dict) -> tuple[str, list[str]]:
+    """The name of the manifest sidecar of the primary output, and the
+    comment lines that open an output: the config, then that name."""
+    name = os.path.basename(primary) + ".manifest.json"
+    return name, [_config_comment(config), f"manifest: {name}"]
+
+
 def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -223,8 +231,7 @@ def _deliver_csv(args_out: str | None, command: str, config: dict,
         sys.stdout.write(_csv_bytes(header, rows,
                                     [_config_comment(config)]).decode())
         return
-    manifest_name = os.path.basename(args_out) + ".manifest.json"
-    comments = [_config_comment(config), f"manifest: {manifest_name}"]
+    manifest_name, comments = _manifest_header(args_out, config)
     outputs = {args_out: _csv_bytes(header, rows, comments)}
     _emit_outputs(command, config, outputs, args_out, {}, started)
     print(f"wrote {args_out} (+ {manifest_name})")
@@ -575,10 +582,8 @@ def cmd_experiment(args) -> int:
     summary_path = settings.get("summary")
     primary = out_path or summary_path
     if primary:
-        manifest_name = os.path.basename(primary) + ".manifest.json"
-        summary["manifest"] = manifest_name
+        summary["manifest"], comments = _manifest_header(primary, config)
         if out_path:
-            comments = [_config_comment(config), f"manifest: {manifest_name}"]
             outputs[out_path] = _csv_bytes(EXPERIMENT_HEADER, rows, comments)
         blob = json.dumps(summary, indent=2, sort_keys=True).encode() + b"\n"
         if summary_path:
@@ -748,9 +753,8 @@ def cmd_plot(args) -> int:
     started = time.time()
     rows, raw = _read_records_csv(args.records)
     input_hashes = {os.path.basename(args.records): _sha256(raw)}
-    manifest_name = os.path.basename(args.out) + ".manifest.json"
     config = {"records": os.path.basename(args.records), "kind": args.kind}
-    comments = [_config_comment(config), f"manifest: {manifest_name}"]
+    manifest_name, comments = _manifest_header(args.out, config)
     blob = _plot_svg(rows, args.kind, comments)
     _emit_outputs("plot", config, {args.out: blob}, args.out, input_hashes,
                   started)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2poly import (degree, divmod_raw, factorize, gcd_raw, mod_raw, mul_raw,
-                      repetition_poly, ring_modulus, ring_mul_raw)
+                      repetition_poly, ring_modulus, ring_mul_raw, rotate)
 from .numbertheory import _smallest_prime_factor
 
 
@@ -44,11 +44,6 @@ def bitvec_to_str(v: BitVec) -> str:
     return f"{v.n}:{hex(v.bits)}"
 
 
-def _rotl(bits: int, j: int, n: int) -> int:
-    j %= n
-    return ((bits << j) | (bits >> (n - j))) & ((1 << n) - 1)
-
-
 @dataclass(frozen=True)
 class DoubleCirculantCode:
     """The [2n, n] code defined by the circulant column a."""
@@ -65,7 +60,7 @@ class DoubleCirculantCode:
 
     def generator_rows(self) -> list[int]:
         """Rows (Z^i a | e_i); the codewords with single-bit right half."""
-        return [_rotl(self.a.bits, i, self.n) | (1 << (self.n + i))
+        return [rotate(self.a.bits, i, self.n) | (1 << (self.n + i))
                 for i in range(self.n)]
 
 
@@ -114,12 +109,7 @@ class CyclicCode:
     def dual(self) -> "CyclicCode":
         """Generator of the dual: reciprocal of (Z^n + 1) / g."""
         h = divmod_raw(ring_modulus(self.n), self.g)[0]
-        d = degree(h)
-        rev = 0
-        for i in range(d + 1):
-            if (h >> i) & 1:
-                rev |= 1 << (d - i)
-        return CyclicCode(self.n, rev)
+        return CyclicCode(self.n, int(f"{h:b}"[::-1], 2))
 
 
 def cyclic_from_vector(u: BitVec) -> CyclicCode:

@@ -89,6 +89,14 @@ def ring_modulus(n: int) -> int:
     return (1 << n) | 1
 
 
+def rotate(x, j, n: int):
+    """x Z^j mod Z^n + 1, for x below 2^n and 0 <= j <= n: x rotated left
+    by j places.  x may be an int or a numpy integer array, and j an int
+    or an array that broadcasts with x; a numpy shift by the whole width
+    of x's dtype gives 0, so j = 0 and j = n hold at n = 64 too."""
+    return ((x << j) | (x >> (n - j))) & ((1 << n) - 1)
+
+
 def ring_mul_raw(a: int, b: int, n: int) -> int:
     """Product of two residues mod Z^n + 1 (each below 2^n) via
     rotate-and-xor: every set bit i of a adds b rotated by i.
@@ -96,11 +104,10 @@ def ring_mul_raw(a: int, b: int, n: int) -> int:
     b may also be a numpy integer array of residues; the result is then
     the array of products a * b[j], of the same shape and dtype (zeros when
     a = 0)."""
-    mask = (1 << n) - 1
     r = b & 0
     for i in range(n):
         if (a >> i) & 1:
-            r ^= ((b << i) | (b >> (n - i))) & mask if i else b
+            r ^= rotate(b, i, n)
     return r
 
 
@@ -243,13 +250,6 @@ def kasami_factors(p: int, m: int) -> Factorization:
     rep = numbertheory.kasami_check(p)
     if not rep.kasami:
         raise ValueError(f"p={p} fails the primitive/non-square criteria")
-    factors = [0b11]  # 1 + Z
-    q = 1
-    for _ in range(m):
-        bits = 0
-        for i in range(p):
-            bits |= 1 << (i * q)
-        factors.append(bits)
-        q *= p
+    factors = [0b11] + [repetition_poly(p ** (i + 1), p) for i in range(m)]
     factors.sort()
     return Factorization(p**m, tuple(factors))

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import gv_guarantee
 from .codes import BitVec, CyclicCode, DoubleCirculantCode
 from .gf2poly import (BudgetExceededError, degree, divmod_raw, mod_raw,
-                      ring_modulus, xgcd_raw)
+                      ring_modulus, rotate, xgcd_raw)
 
 
 @dataclass(frozen=True)
@@ -171,43 +171,43 @@ def _xor_gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _rotation_shifts(n: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
-    """Shift counts, as a column, and the mask that rotate a length-n word
-    left by 0, 1, ..., n - 1 places."""
-    left = np.arange(n, dtype=np.uint64)[:, None]
-    return left, np.uint64(n) - left, np.uint64((1 << n) - 1)
-
-
-@lru_cache(maxsize=64)
 def _divisor_split(n: int, g: int) -> tuple[int, np.ndarray, int,
-                                            np.ndarray, np.ndarray]:
+                                            np.ndarray, tuple[int, ...]]:
     """What a column's search needs of its g = gcd(a, Z^n + 1) alone, with
     r = deg g: h = (Z^n + 1) / g; the 2^r multiples of h, the kernel
     K = <h>, word i being the xor of the h Z^j for the bits j of i; the
     first lightest nonzero word of K, or 0 when r = 0; rem, whose entry i
-    is Z^i mod g; and quo, the (n, n) mask whose [j, i] is all ones when
-    Z^j is a term of Z^i div g."""
+    is Z^i mod g; and the carries: entry i is 1 when Z^i div g is
+    Z (Z^(i - 1) div g) + 1, else 0, with Z^-1 div g = 0."""
     h, r = divmod_raw(ring_modulus(n), g)[0], degree(g)
     kern = np.zeros(1, dtype=np.uint64)
     for j in range(r):
         kern = np.concatenate([kern, kern ^ np.uint64(h << j)])
     lightest = (int(kern[1 + np.bitwise_count(kern[1:]).argmin()])
                 if kern.size > 1 else 0)
-    # Z^i = q_i g + rem_i, from i = 0 up: Z^(i + 1) = (Z q_i) g + Z rem_i,
-    # and Z rem_i has degree r exactly when g goes into it once more
-    (q, rem), quos, rems = divmod_raw(1, g), [], []
+    # Z^i = q_i g + rem_i, from i = 0 up: z = Z rem_(i - 1), or 1 at
+    # i = 0, has degree r exactly when g goes into it once more, and then
+    # q_i = Z q_(i - 1) + 1
+    carries, rems, z = [], [], 1
     for _ in range(n):
-        quos.append(q)
-        rems.append(rem)
-        q, rem = q << 1, rem << 1
-        if rem >> r & 1:
-            q, rem = q | 1, rem ^ g
+        carries.append(z >> r & 1)
+        rems.append(z ^ g if carries[-1] else z)
+        z = rems[-1] << 1
     rem = np.array(rems, dtype=np.uint64)
-    quo = -(np.array(quos, dtype=np.uint64)
-            >> np.arange(n, dtype=np.uint64)[:, None] & np.uint64(1))
-    for shared in (kern, rem, quo):
-        shared.flags.writeable = False
-    return h, kern, lightest, rem, quo
+    kern.flags.writeable = False
+    rem.flags.writeable = False
+    return h, kern, lightest, rem, tuple(carries)
+
+
+def _cofactor_table(n: int, g: int, b: np.ndarray) -> np.ndarray:
+    """The (n, columns) table of (Z^i div g) b for a uint64 array b: as
+    Z^i div g = Z (Z^(i - 1) div g) + carry i, row i is the xor of the
+    b Z^(i - j) over the carries j <= i of _divisor_split(n, g)."""
+    rot = rotate(b, np.arange(n, dtype=np.uint64)[:, None], n)
+    rows = np.zeros_like(rot)
+    for j in np.flatnonzero(_divisor_split(n, g)[4]):
+        rows[j:] ^= rot[:n - j]
+    return rows
 
 
 @lru_cache(maxsize=256)
@@ -271,12 +271,17 @@ def _min_codewords(n: int, columns, cap: int | None = None,
     bound t_R + 1.  Right level n sees every codeword, so the search
     always ends.  Ties go to the first strict improvement in level order,
     then to the first necklace of the level, then to the first word of K.
+    A half is packed in one uint64 word, so n above 64 is refused with
+    BudgetExceededError.
 
     Columns are searched together: those that share g in one group, and
     those searched from the right side alone in another.  Each level is
     one gather over the group's live columns and the level's necklaces,
     in chunks of at most _BLOCK entries.  A column's value and witness do
     not depend on the columns searched with it."""
+    if n > 64:
+        raise BudgetExceededError("the distance engine packs each half of a "
+                                  f"codeword in 64 bits: n <= 64, not n = {n}")
     modulus = ring_modulus(n)
     groups: dict[int, list[int]] = {}
     cofactors = []
@@ -305,26 +310,17 @@ def _search_group(n: int, g: int, columns: list[int], cofactors: list[int],
     best, words = [2 * n + 1] * count, [0] * count
     kern, lightest = np.zeros(1, dtype=np.uint64), 0
     steps = ((0, t) for t in range(1, n + 1))
+    # column c of tables[0] is column c's a Z^j, of tables[1] its
+    # (Z^i div g) b: a necklace's xor over them is its right-level left
+    # half, or its left-level right half
+    tables = [rotate(np.array(columns, dtype=np.uint64),
+                     np.arange(n, dtype=np.uint64)[:, None], n)]
     if g:
-        h, kern, lightest, _, quo = _divisor_split(n, g)
-        columns = columns + [mod_raw(s, h) for s in cofactors]
+        h, kern, lightest, _, _ = _divisor_split(n, g)
+        tables.append(_cofactor_table(n, g, np.array(
+            [mod_raw(s, h) for s in cofactors], dtype=np.uint64)))
         steps = chain([(0, 1), (1, 0), (1, 1)], (
             (side, t) for t in range(2, n + 1) for side in (0, 1)))
-    # entry [j, c] of rot is word c rotated left by j.  Column c of
-    # tables[0] is column c's a Z^j, of tables[1] its (Z^i div g) b: a
-    # necklace's xor over them is its right-level left half, or its
-    # left-level right half
-    left, right, mask = _rotation_shifts(n)
-    rot = np.array(columns, dtype=np.uint64)
-    rot = ((rot << left) | (rot >> right)) & mask
-    tables = [rot[:, :count]]
-    if g:
-        b, qb = rot[:, count:], np.empty_like(tables[0])
-        step = max(1, _BLOCK // (n * n))
-        for j in range(0, count, step):
-            np.bitwise_xor.reduce(quo[:, :, None] & b[:, None, j:j + step],
-                                  axis=0, out=qb[:, j:j + step])
-        tables.append(qb)
     live = list(range(count))
     seen = [0, -1]  # highest right and left level searched
     for side, t in steps:
@@ -631,20 +627,18 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
     if n > SEARCH_MAX_N:
         raise BudgetExceededError(
             f"search is offered for n <= {SEARCH_MAX_N}, not n = {n}")
-    rows0 = code.generator_rows()
-    # the generator is already systematic on the right half: its rows are
-    # the single-bit-message codewords, all of weight 1 + wt(a), so the
-    # first of them is the first lightest
-    best = rows0[0]
+    # the generator rows (Z^r a | e_r), the single-bit-message codewords,
+    # all weigh 1 + wt(a), so the first is the first lightest
+    best = code.a.bits | 1 << n
     best_wt = best.bit_count()
-    # the generator column by column, row r in bit r % 64 of word r // 64
-    size = (2 * n + 7) // 8
-    bits = np.zeros((2 * n, -n % 64 + n), dtype=np.uint8)
-    bits[:, :n] = np.unpackbits(np.frombuffer(b"".join(
-        r.to_bytes(size, "little") for r in rows0), dtype=np.uint8).reshape(
-        n, size), axis=1, count=2 * n, bitorder="little").T
-    gen = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    gen = gen.astype(np.uint64)
+    # the generator column by column, row r in bit r % 64 of word r // 64:
+    # row r has a_(c - r) at column c < n, so column c is reverse(a)
+    # Z^(c + 1), and column n + r is e_r
+    rev = int(f"{code.a.bits:0{n}b}"[::-1], 2)
+    cols = [rotate(rev, c + 1, n) for c in range(n)]
+    gen = np.array([[x >> k & (1 << 64) - 1 for k in range(0, n, 64)]
+                    for x in cols + [1 << r for r in range(n)]],
+                   dtype=np.uint64)
     per_block = max(1, _BLOCK // _round_words(n))
     for perm in _column_orders(random.Random(seed), 2 * n, effort, per_block):
         wt, word = _lightest_reduced_row(gen, perm)

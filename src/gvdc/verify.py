@@ -25,7 +25,7 @@ from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
                     nonrepetition_codes)
-from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
+from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw, rotate
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
 from .spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _gray_weights,
                        _min_codewords, low_weight_search, weight_distribution)
@@ -238,8 +238,7 @@ def dc_distance_table(n: int) -> tuple[int, ...]:
     cols = np.arange(1 << n)
     least = cols.copy()
     for j in range(1, n):
-        np.minimum(least, ((cols << j) | (cols >> (n - j))) & ((1 << n) - 1),
-                   out=least)
+        np.minimum(least, rotate(cols, j, n), out=least)
     # a(Z^u) is the image of a's low k bits or'ed with that of its high
     # bits, each read from a table of the 2^k or 2^(n - k) halves
     k = n // 2
@@ -379,24 +378,35 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
     return reports
 
 
+def _level_length(p: int, m: int) -> int:
+    """n = p^m, checked before a level-sum audit computes anything: p an
+    odd prime, m >= 1, and past TABLE_MAX_N an n the engine takes."""
+    if not is_prime(p) or p == 2 or m < 1:
+        raise ValueError("need an odd prime p and m >= 1")
+    if p**m > TABLE_MAX_N:
+        _min_codewords(p**m, [])
+    return p**m
+
+
 def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
                      seed: int = 0) -> LemmaReport:
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
     Exact for n <= TABLE_MAX_N; Monte Carlo with a 99% Wilson upper edge
     otherwise, reported as evidence only."""
+    n = _level_length(p, m)
     rhs = triple_sum_value(p, m, w)
-    if p**m > TABLE_MAX_N:
+    if n > TABLE_MAX_N:
         return _sampled_level_reports(p, m, {w: rhs}, trials, seed)[0]
     return _exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": w},
-                         p**m, w, rhs)
+                         n, w, rhs)
 
 
 def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
                            seed: int = 0) -> list[LemmaReport]:
     """Level-sum audit across every weight w = 1..2n at n = p^m: exact for
     n <= TABLE_MAX_N, else one Monte Carlo pass shared by every w whose
-    bound is still discriminating.  The first bound checks (p, m)."""
-    n = p**m
+    bound is still discriminating."""
+    n = _level_length(p, m)
     rhs_by_w = {}
     for w in count(1):
         rhs = triple_sum_value(p, m, w)

@@ -146,6 +146,22 @@ def test_exhaustive_audits_past_their_limit_exit_budget():
     assert code == 3
 
 
+def test_level_audits_past_one_engine_word_exit_budget_at_once(
+        monkeypatch, capsys):
+    # n = 121 and 125 are past the 64 bits the distance engine packs a half
+    # in; the audit refuses them before it computes any bound or sample
+    def no_bound(*args):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(cli.audits, "triple_sum_value", no_bound)
+    for argv in (["--p", "11", "--m", "2"], ["--p", "5", "--m", "3"],
+                 ["--p", "5", "--m", "3", "--w", "4"]):
+        code, out = run_cli(["verify", "triplesum", *argv, "--trials", "5"])
+        assert code == 3 and out == "", argv
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and "n <= 64" in err
+
+
 def test_verify_orbit_is_exact_up_to_the_table_limit():
     code, out = run_cli(["verify", "orbit", "--n", "15"])
     assert code == 0

@@ -11,7 +11,7 @@ from gvdc.gf2poly import (FACTORIZE_MAX_N, BudgetExceededError, Factorization,
                           Poly, cyclotomic_cosets, factorize, gcd_raw,
                           kasami_factors, mod_raw, mul_raw, poly_mul_mod,
                           poly_to_str, repetition_poly, ring_modulus,
-                          ring_mul_raw, xgcd_raw)
+                          ring_mul_raw, rotate, xgcd_raw)
 
 
 def test_mul_raw_hand_values():
@@ -150,6 +150,30 @@ def test_mul_mod_against_schoolbook_oracle():
         got = poly_mul_mod(Poly(a, n), Poly(b, n)).bits
         assert got == ring_mul_raw(a, b, n)
         assert got == mod_raw(mul_raw(a, b), ring_modulus(n))
+
+
+def test_rotate_is_multiplication_by_a_power_of_z():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        xs = (0, 1, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(3)))
+        for j in range(n):
+            for x in xs:
+                assert rotate(x, j, n) == mod_raw(mul_raw(x, 1 << j),
+                                                  ring_modulus(n))
+
+
+def test_rotate_on_uint64_arrays_at_64_bits():
+    # at j = 0 the right shift is by 64, which numpy takes to 0
+    rng = random.Random(65)
+    xs = [0, 1, (1 << 64) - 1, 1 << 63] + [rng.getrandbits(64)
+                                           for _ in range(12)]
+    x = np.array(xs, dtype=np.uint64)
+    table = rotate(x, np.arange(64, dtype=np.uint64)[:, None], 64)
+    assert table.dtype == np.uint64 and table.shape == (64, len(xs))
+    for j in range(64):
+        want = [mod_raw(mul_raw(v, 1 << j), ring_modulus(64)) for v in xs]
+        assert rotate(x, j, 64).tolist() == want
+        assert table[j].tolist() == want
 
 
 def test_ring_mul_raw_on_arrays():

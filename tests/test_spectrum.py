@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from gvdc import spectrum
 from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         dc_contains, dc_sample, divisor_codes)
-from gvdc.gf2poly import (BudgetExceededError, factorize, ring_modulus,
-                          ring_mul_raw)
+from gvdc.gf2poly import (BudgetExceededError, divmod_raw, factorize,
+                          ring_modulus, ring_mul_raw)
 from gvdc.spectrum import (SEARCH_MAX_N, WeightDistribution,
-                           _column_orders, _min_codewords, _necklace_level,
+                           _cofactor_table, _column_orders, _min_codewords,
+                           _necklace_level,
                            dc_weight_distribution, low_weight_search,
                            macwilliams_transform, min_distance_exact,
                            weight_distribution)
@@ -155,6 +157,27 @@ def test_min_distance_matches_brute_force():
 def test_min_distance_budget():
     with pytest.raises(BudgetExceededError):
         min_distance_exact(dc_sample(spectrum.EXACT_MAX_N + 1, 0))
+
+
+def test_engine_refuses_a_half_past_one_word():
+    with pytest.raises(BudgetExceededError, match="n <= 64, not n = 65"):
+        _min_codewords(65, [1], cap=1)
+    # n = 64 still fits: under the column 1, (Z^j, Z^j) is a codeword
+    [(d, word)] = _min_codewords(64, [1], cap=2)
+    assert d == 2 and word.bit_count() == 2
+    assert word >> 64 == word & (1 << 64) - 1
+
+
+def test_cofactor_table_rows_are_quotients_times_b():
+    rng = random.Random(15)
+    for n in range(1, 16, 2):
+        b = [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]
+        for code in divisor_codes(n):
+            table = _cofactor_table(n, code.g, np.array(b, dtype=np.uint64))
+            assert table.shape == (n, len(b))
+            for i in range(n):
+                q = divmod_raw(1 << i, code.g)[0]
+                assert table[i].tolist() == [ring_mul_raw(q, v, n) for v in b]
 
 
 def test_dc_weight_distribution_matches_enumeration():

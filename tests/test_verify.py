@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -575,6 +576,17 @@ def test_level_audit_guards():
             verify_triplesum_sweep(p, m, trials=trials)
 
 
+def test_level_length_takes_what_the_engine_takes():
+    assert verify._level_length(7, 2) == 49
+    assert verify._level_length(13, 1) == 13
+    for p, m in ((11, 2), (5, 3), (3, 4)):
+        with pytest.raises(BudgetExceededError, match=f"not n = {p**m}"):
+            verify._level_length(p, m)
+    # a bad p or m is a usage error first, at any n
+    with pytest.raises(ValueError):
+        verify._level_length(9, 3)
+
+
 def test_level_audits_reject_a_negative_weight():
     # n = 9 takes the exact path, n = 25 the sampled one
     for p, m in ((3, 2), (5, 2)):
@@ -677,6 +689,47 @@ def test_experiment_pool_budget_keeps_prefix(monkeypatch):
     assert len(records) == summary["completed"]
     full, _ = experiment_distance(n=13, trials=200, seed=6)
     assert records == full[:len(records)]
+
+
+# the test process, and the first trial of the pool job to cut short; a
+# forked pool worker inherits both
+_POOL_JOBS = {"parent": None, "short": None}
+_RUN_TRIALS = verify._run_trials
+
+
+def _checked_pool_job(n, master_seed, mode, search_weight, effort, indices,
+                      stop):
+    """verify._run_trials that, in a pool worker, fails on a job of more
+    than _TRIAL_BLOCK trials, and returns 5 trials of the job that starts
+    at _POOL_JOBS["short"]."""
+    rows = _RUN_TRIALS(n, master_seed, mode, search_weight, effort, indices,
+                       stop)
+    if os.getpid() != _POOL_JOBS["parent"]:
+        assert len(indices) <= verify._TRIAL_BLOCK, len(indices)
+        if indices[0] == _POOL_JOBS["short"]:
+            rows = rows[:5]
+    return rows
+
+
+def test_experiment_pool_budget_caps_jobs_and_stops_at_a_short_one(
+        monkeypatch):
+    # no trial runs in process first, so the pool takes all 200; the budget
+    # is never reached, but it still cuts the jobs to _TRIAL_BLOCK trials
+    monkeypatch.setattr(verify, "_POOL_START_S", 0)
+    monkeypatch.setattr(verify, "_run_trials", _checked_pool_job)
+    monkeypatch.setitem(_POOL_JOBS, "parent", os.getpid())
+    serial, _ = experiment_distance(n=9, trials=200, seed=4)
+    records, summary = experiment_distance(n=9, trials=200, seed=4,
+                                           workers=2, max_seconds=3600)
+    assert records == serial and not summary["truncated"]
+    # the jobs start at 0, 64, 128 and 192: the one at 64 comes back short,
+    # and the records end with it
+    monkeypatch.setitem(_POOL_JOBS, "short", verify._TRIAL_BLOCK)
+    records, summary = experiment_distance(n=9, trials=200, seed=4,
+                                           workers=2, max_seconds=3600)
+    assert records == serial[:verify._TRIAL_BLOCK + 5]
+    assert summary["truncated"]
+    assert summary["completed"] == verify._TRIAL_BLOCK + 5
 
 
 def test_lemma_report_ok_semantics():
