@@ -266,11 +266,11 @@ def _min_codewords(n: int, columns, cap: int | None = None,
     wt(x_R) >= t_R + 1 and wt(x_L) >= t_L + 1, so weight >= t_R + t_L + 2.
     A column's search stops once its best weight is at most that bound,
     and every search stops, under a cap, once the bound exceeds the cap.
-    When r > _K_BITS_MAX, K is too large to list (and when n + r > 64 the
-    left table does not fit a uint64): only the right levels run, with
-    bound t_R + 1.  Right level n sees every codeword, so the search
-    always ends.  Ties go to the first strict improvement in level order,
-    then to the first necklace of the level, then to the first word of K.
+    When r > _K_BITS_MAX, K is too large to list: only the right levels
+    run, with bound t_R + 1.  Right level n sees every codeword, so the
+    search always ends.  Ties go to the first strict improvement in level
+    order, then to the first necklace of the level, then to the first
+    word of K.
     A half is packed in one uint64 word, so n above 64 is refused with
     BudgetExceededError.
 
@@ -290,8 +290,7 @@ def _min_codewords(n: int, columns, cap: int | None = None,
         g, s = xgcd_raw(a, modulus)
         r = degree(g)
         # key 0, never a divisor, marks the right side alone
-        groups.setdefault(g if r <= _K_BITS_MAX and n + r <= 64 else 0,
-                          []).append(c)
+        groups.setdefault(g if r <= _K_BITS_MAX else 0, []).append(c)
         cofactors.append(s)
     out: list = [None] * len(cofactors)
     for g, members in groups.items():

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -346,23 +346,44 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
 _DISCRIMINATING = 0.9
 
 
-def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
-                           seed: int) -> list[LemmaReport]:
-    """Monte Carlo audit of the level sum at n = p^m for every w in
-    rhs_by_w, all answered by one pass over the same sampled columns.  The
+def _level_reports(p: int, m: int, w, trials: int,
+                   seed: int) -> list[LemmaReport]:
+    """The level-sum audit at n = p^m of the one weight w, or with w None
+    of every weight 1..2n.  p, m and trials are checked first; past
+    TABLE_MAX_N so is the engine's ceiling on n, before any bound is
+    computed.  Up to TABLE_MAX_N each report is exact.  Past it the sweep
+    stops at the first bound that is not discriminating, and every weight
+    is answered by one Monte Carlo pass over the same sampled columns: the
     distance search is capped at the largest w and decides d <= w exactly
     for every w up to the cap, so each hit count is exact."""
+    if not is_prime(p) or p == 2 or m < 1:
+        raise ValueError("need an odd prime p and m >= 1")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    if min(rhs_by_w) < 0:
-        raise ValueError("w must be nonnegative")
     n = p**m
-    cap = math.floor(max(rhs_by_w))
+    sampled = n > TABLE_MAX_N
+    if sampled:
+        _min_codewords(n, [])
+    if w is not None:
+        rhs_by_w = {w: triple_sum_value(p, m, w)}
+    else:
+        rhs_by_w = {}
+        for v in range(1, 2 * n + 1):
+            rhs = triple_sum_value(p, m, v)
+            if sampled and float(rhs) >= _DISCRIMINATING:
+                break
+            rhs_by_w[v] = rhs
+    if not sampled:
+        return [_exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": v},
+                              n, v, rhs) for v, rhs in rhs_by_w.items()]
+    if not rhs_by_w:
+        return []
     _, columns = _sample_trials(n, seed, range(trials))
-    dmins = [d for d, _ in _min_codewords(n, columns, cap)]
+    dmins = [d for d, _ in _min_codewords(n, columns,
+                                          math.floor(max(rhs_by_w)))]
     reports = []
-    for w, rhs in sorted(rhs_by_w.items()):
-        hits = sum(1 for d in dmins if d <= w)
+    for v, rhs in rhs_by_w.items():
+        hits = sum(1 for d in dmins if d <= v)
         upper = wilson_upper(hits, trials)
         if float(rhs) >= _DISCRIMINATING:
             note = (f"bound is above {_DISCRIMINATING} here and not "
@@ -373,19 +394,9 @@ def _sampled_level_reports(p: int, m: int, rhs_by_w: dict, trials: int,
                     f"({trials} samples, {hits} hits)")
         reports.append(LemmaReport(
             "level-pair-sum-bound",
-            {"p": p, "m": m, "w": w, "trials": trials, "seed": seed},
+            {"p": p, "m": m, "w": v, "trials": trials, "seed": seed},
             INFORMATIVE, f"{upper:.6f}", str(rhs), notes=note))
     return reports
-
-
-def _level_length(p: int, m: int) -> int:
-    """n = p^m, checked before a level-sum audit computes anything: p an
-    odd prime, m >= 1, and past TABLE_MAX_N an n the engine takes."""
-    if not is_prime(p) or p == 2 or m < 1:
-        raise ValueError("need an odd prime p and m >= 1")
-    if p**m > TABLE_MAX_N:
-        _min_codewords(p**m, [])
-    return p**m
 
 
 def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
@@ -393,12 +404,7 @@ def verify_triplesum(p: int, m: int, w, trials: int = 10_000,
     """Audit of the level-decomposed bound on Pr[distance <= w] at n = p^m.
     Exact for n <= TABLE_MAX_N; Monte Carlo with a 99% Wilson upper edge
     otherwise, reported as evidence only."""
-    n = _level_length(p, m)
-    rhs = triple_sum_value(p, m, w)
-    if n > TABLE_MAX_N:
-        return _sampled_level_reports(p, m, {w: rhs}, trials, seed)[0]
-    return _exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": w},
-                         n, w, rhs)
+    return _level_reports(p, m, w, trials, seed)[0]
 
 
 def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
@@ -406,18 +412,7 @@ def verify_triplesum_sweep(p: int, m: int, trials: int = 10_000,
     """Level-sum audit across every weight w = 1..2n at n = p^m: exact for
     n <= TABLE_MAX_N, else one Monte Carlo pass shared by every w whose
     bound is still discriminating."""
-    n = _level_length(p, m)
-    rhs_by_w = {}
-    for w in count(1):
-        rhs = triple_sum_value(p, m, w)
-        if w > 2 * n or (n > TABLE_MAX_N and float(rhs) >= _DISCRIMINATING):
-            break
-        rhs_by_w[w] = rhs
-    if n <= TABLE_MAX_N:
-        return [_exact_report("level-pair-sum-bound", {"p": p, "m": m, "w": w},
-                              n, w, rhs) for w, rhs in rhs_by_w.items()]
-    return (_sampled_level_reports(p, m, rhs_by_w, trials, seed)
-            if rhs_by_w else [])
+    return _level_reports(p, m, None, trials, seed)
 
 
 # ---------------------------------------------------------------------------

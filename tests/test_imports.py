@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, every public function or class of the
-package has a caller outside the tests, and a fresh process loads mpmath,
+package has a caller outside the tests, every private module-level name of
+the package is read in the package, and a fresh process loads mpmath,
 concurrent.futures and multiprocessing only for the runs that use them."""
 
 import ast
@@ -65,11 +66,11 @@ def _public_definitions(tree: ast.Module) -> set[str]:
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names, attributes and imported names a module uses, plus the
+    """Names a module reads, attributes and imported names, plus the
     function names in a WRAPPED list of (module, name) strings."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -114,6 +115,47 @@ def test_test_only_name_is_caught():
         "src/gvdc/__init__.py": ast.parse("from .m import orphan, Orphan\n")}
     tracer = ast.parse("WRAPPED = [('gvdc.m', 'wrapped')]\n")
     assert _test_only_names(package, [tracer]) == ["Orphan", "orphan"]
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private names a module defines or assigns, dunders
+    aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _unread_private_names(package: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*map(_referenced_names, package.values()))
+    return sorted(f"{os.path.basename(path)}:{name}"
+                  for path, tree in package.items()
+                  for name in _private_definitions(tree) if name not in read)
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that only the tests call is dead code
+    package = {p: _parse(p)
+               for p in sorted(glob.glob(os.path.join(ROOT, "src/gvdc/*.py")))}
+    assert sum(len(_private_definitions(t)) for t in package.values()) > 50
+    assert _unread_private_names(package) == []
+
+
+def test_unread_private_name_is_caught():
+    package = {"m.py": ast.parse(
+        "_LIMIT = 3\n_UNREAD: int = 4\n__all__ = []\n"
+        "def _helper():\n    return _LIMIT\n"
+        "def _orphan():\n    _orphan_local = 1\n"
+        "class _Orphan:\n    pass\n"),
+        "k.py": ast.parse("from .m import _helper\n")}
+    assert _unread_private_names(package) == [
+        "m.py:_Orphan", "m.py:_UNREAD", "m.py:_orphan"]
 
 
 def test_unused_import_is_caught():

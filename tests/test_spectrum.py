@@ -168,6 +168,37 @@ def test_engine_refuses_a_half_past_one_word():
     assert word >> 64 == word & (1 << 64) - 1
 
 
+@pytest.mark.parametrize("n, columns", [
+    # divisors of Z^63 + 1 of degree 2, 3, 6, 9 and 14, and of
+    # Z^64 + 1 = (1 + Z)^64 of degree 1, 2, 4, 8 and 16: light, so that
+    # (a, 1) is a codeword of weight at most 4
+    (63, [0b111, 0b1011, 0b1001001, 0b1000000001, 0b100000010000001]),
+    (64, [1 << r | 1 for r in (1, 2, 4, 8, 16)])])
+def test_both_sides_run_where_a_half_and_its_divisor_pass_one_word(
+        monkeypatch, n, columns):
+    # the left tables are n and r bits wide, so a divisor of degree
+    # r > 64 - n still runs both sides, and agrees with the right side
+    cap = 4
+    groups = []
+    search_group = spectrum._search_group
+
+    def recorded(n, g, *args):
+        groups.append(g)
+        return search_group(n, g, *args)
+
+    monkeypatch.setattr(spectrum, "_search_group", recorded)
+    found = _min_codewords(n, columns, cap)
+    assert 0 not in groups and len(groups) == len(columns)
+    monkeypatch.setattr(spectrum, "_K_BITS_MAX", -1)
+    right = _min_codewords(n, columns, cap)
+    assert groups[len(columns):] == [0]
+    for a, (d, word), (d_right, word_right) in zip(columns, found, right):
+        assert d == d_right <= cap
+        for w in (word, word_right):
+            assert w.bit_count() == d
+            assert w & (1 << n) - 1 == ring_mul_raw(w >> n, a, n)
+
+
 def test_cofactor_table_rows_are_quotients_times_b():
     rng = random.Random(15)
     for n in range(1, 16, 2):

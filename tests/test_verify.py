@@ -6,6 +6,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -567,33 +568,66 @@ def test_exhaustive_ignores_workers_and_budget():
 
 def test_level_audit_guards():
     # at m = 0 the level sum is empty, so an unchecked call would compare
-    # Pr[d <= w] = 1 at n = 1 against 0 and report a false violation
+    # Pr[d <= w] = 1 at n = 1 against 0 and report a false violation; a
+    # negative trial count is refused on the exact path (n = 9) too
     for p, m, trials in ((5, 0, 10), (5, -1, 10), (0, 1, 10), (9, 1, 10),
-                         (5, 2, -3)):
+                         (5, 2, -3), (3, 2, -3)):
         with pytest.raises(ValueError):
             verify_triplesum(p, m, 3, trials=trials)
         with pytest.raises(ValueError):
             verify_triplesum_sweep(p, m, trials=trials)
 
 
-def test_level_length_takes_what_the_engine_takes():
-    assert verify._level_length(7, 2) == 49
-    assert verify._level_length(13, 1) == 13
-    for p, m in ((11, 2), (5, 3), (3, 4)):
-        with pytest.raises(BudgetExceededError, match=f"not n = {p**m}"):
-            verify._level_length(p, m)
-    # a bad p or m is a usage error first, at any n
-    with pytest.raises(ValueError):
-        verify._level_length(9, 3)
+def test_level_audits_check_the_engine_ceiling_before_any_bound(monkeypatch):
+    class BoundComputed(Exception):
+        pass
+
+    def bound(*args):
+        raise BoundComputed
+
+    monkeypatch.setattr(verify, "triple_sum_value", bound)
+    for audit in (partial(verify_triplesum, w=3, trials=5),
+                  partial(verify_triplesum_sweep, trials=5)):
+        # n = 13 is exact and n = 49 fits the engine: both reach the bound
+        for p, m in ((13, 1), (7, 2)):
+            with pytest.raises(BoundComputed):
+                audit(p, m)
+        for p, m in ((11, 2), (5, 3), (3, 4)):
+            with pytest.raises(BudgetExceededError, match=f"not n = {p**m}"):
+                audit(p, m)
+        # a bad p or m is a usage error first, at any n
+        with pytest.raises(ValueError):
+            audit(9, 3)
 
 
-def test_level_audits_reject_a_negative_weight():
-    # n = 9 takes the exact path, n = 25 the sampled one
+@pytest.mark.parametrize("table_max_n", [9, 8])
+def test_level_audit_is_exact_up_to_the_table_and_sampled_past_it(
+        monkeypatch, table_max_n):
+    # n = 9 at the table's edge is exact, one past it sampled: both entry
+    # points take the same side, and a single weight's report is the
+    # sweep's row for that weight
+    monkeypatch.setattr(verify, "TABLE_MAX_N", table_max_n)
+    exact = table_max_n == 9
+    sampled = {"trials": 50, "seed": 4}
+    sweep = verify_triplesum_sweep(3, 2, trials=50, seed=4)
+    assert len(sweep) == (18 if exact else 3)
+    for r in sweep:
+        assert r.status == (VERIFIED_EXACT if exact else INFORMATIVE)
+        assert (sampled.items() <= r.parameters.items()) != exact
+        assert verify_triplesum(3, 2, r.parameters["w"], trials=50,
+                                seed=4) == r
+
+
+def test_level_audits_reject_a_negative_weight(monkeypatch):
+    # n = 9 takes the exact path, n = 25 the sampled one, which fails
+    # before it samples a column
+    def no_sampling(*args):
+        raise AssertionError("columns were sampled")
+
+    monkeypatch.setattr(verify, "_sample_trials", no_sampling)
     for p, m in ((3, 2), (5, 2)):
         with pytest.raises(ValueError, match="w must be nonnegative"):
             verify_triplesum(p, m, -1, trials=5)
-    with pytest.raises(ValueError, match="w must be nonnegative"):
-        verify._sampled_level_reports(5, 2, {-1: Fraction(0)}, 5, 0)
 
 
 def test_enumeration_rejects_n_below_the_floor():
