@@ -512,31 +512,34 @@ def _lightest_reduced_row(gen: np.ndarray,
     return int(wt), sum(1 << int(c) for c in perm[r, bits[:, p] == 1])
 
 
-# A draw of the search's column orders is written as one code point,
-# _PLANE + its top bits: from plane 1 up, so no code point is a regex
-# metacharacter, a surrogate or NUL, and 2n < 2^20 fits below 0x10FFFF.
-# The generator alone takes n^2 / 4 bytes, 64 GiB at that n.
+# A draw of the search's column orders is written as one character, base +
+# its top bits: base 0 while 2n < 256, so the text is latin-1 and CPython
+# shares its one-character strings, else _PLANE, from plane 1 up, where re
+# compiles a class fast (a BMP class gets a 64K map) and 2n < 2^20 fits
+# below 0x10FFFF.  The generator alone takes n^2 / 4 bytes, 64 GiB there.
 _PLANE = 0x10000
 SEARCH_MAX_N = (1 << 19) - 1
 
 
 @lru_cache(maxsize=8)
-def _sample_pattern(m: int) -> re.Pattern:
-    """A pattern whose match at the start of a string of 32-bit outputs,
-    each written as _PLANE + its top m.bit_length() bits, reads the outputs
-    of one rng.sample(range(m), m): group i + 1 is the output draw i takes.
+def _sample_pattern(m: int) -> tuple:
+    """A pattern whose match on 32-bit outputs, each written as base + its
+    top b = m.bit_length() bits, reads one rng.sample(range(m), m): group
+    i + 1 is the output draw i takes.  Also base, the shifts from b bits
+    to each draw's k, and the outputs a round takes on average.
 
     Draw i is randbelow(j) with j = m - i: it takes the top
     k = j.bit_length() bits of an output and draws again while they are
-    >= j.  On the top b = m.bit_length() bits that is: an output is
-    taken when below j << (b - k), else skipped."""
-    b = m.bit_length()
-    top = chr(_PLANE + (1 << b) - 1)
-    steps = []
-    for j in range(m, 0, -1):
-        cut = _PLANE + (j << (b - j.bit_length()))
-        steps.append(f"[{chr(cut)}-{top}]*([{chr(_PLANE)}-{chr(cut - 1)}])")
-    return re.compile("".join(steps))
+    >= j, 2^k / j outputs on average.  On the top b bits that is: an
+    output is taken when below j << (b - k), else skipped."""
+    b, base = m.bit_length(), 0 if m < 256 else _PLANE
+    js = range(m, 0, -1)
+    low, top = (re.escape(chr(base + c)) for c in (0, (1 << b) - 1))
+    cuts = [base + (j << b - j.bit_length()) for j in js]
+    pattern = re.compile("".join(f"[{re.escape(chr(c))}-{top}]*([{low}-"
+                                 f"{re.escape(chr(c - 1))}])" for c in cuts))
+    shift = np.array([b - j.bit_length() for j in js], dtype=np.uint8)
+    return pattern, base, shift, sum((1 << j.bit_length()) / j for j in js)
 
 
 def _column_orders(rng: random.Random, m: int, rounds: int, per_block: int):
@@ -546,41 +549,36 @@ def _column_orders(rng: random.Random, m: int, rounds: int, per_block: int):
 
     The outputs are drawn in bulk: rng.getrandbits(32 * count) holds count
     32-bit outputs, the first in its lowest bits, in the order sample's
-    randbelow calls would take them.  One match of _sample_pattern(m) per
-    round picks out its draws; outputs a block does not reach carry over
-    to the next.  Then sample's pool steps run on all rounds of the block
-    at once.  rng ends past the last output drawn, not the last used."""
-    pattern = _sample_pattern(m)
-    b = m.bit_length()
-    shift = np.array([b - j.bit_length() for j in range(m, 0, -1)],
-                     dtype=np.uint32)
-    # outputs per round on average: randbelow(j) takes 2^k / j of them
-    mean = sum((1 << j.bit_length()) / j for j in range(1, m + 1))
+    randbelow calls would take them.  One split by _sample_pattern(m) reads
+    a block: per round an empty piece and its m draws, then the rest,
+    carried to the next block.  A short split means the outputs ran out:
+    draw more, split again.  A gap between matches, which real outputs
+    never give, is refused alike.  Sample's pool steps run on the whole
+    block at once.  rng ends past the last output drawn, not the last used."""
+    pattern, base, shift, mean = _sample_pattern(m)
+    width, codec = ("<u4", "utf-32-le") if base else ("u1", "latin-1")
     dtype = np.min_scalar_type(m - 1)
-    text, pos = "", 0
+    text = ""
     for start in range(0, rounds, per_block):
         count = min(per_block, rounds - start)
-        draws = np.empty((count, m), dtype=np.uint32)
-        for i in range(count):
-            while (match := pattern.match(text, pos)) is None:
-                # what the rest of the block takes on average, 5% over,
-                # and at most 2^16 outputs at a time
-                more = min(int(mean * (count - i) * 1.05) + 64, 1 << 16)
+        # hold what the rounds left to read take on average, 5% over
+        parts, need = [], int(mean * count * 1.05) + 64
+        while len(parts) != count * (m + 1) + 1 or any(parts[:-1:m + 1]):
+            while (more := min(need - len(text), 1 << 16)) > 0:
                 tops = np.frombuffer(rng.getrandbits(32 * more).to_bytes(
-                    4 * more, "little"), dtype="<u4") >> np.uint32(32 - b)
-                text = text[pos:] + (tops + np.uint32(_PLANE)).astype(
-                    "<u4").tobytes().decode("utf-32-le")
-                pos = 0
-            draws[i] = np.frombuffer("".join(match.groups()).encode(
-                "utf-32-le"), dtype="<u4")
-            pos = match.end()
-        draws -= np.uint32(_PLANE)
-        draws >>= shift
+                    4 * more, "little"), dtype="<u4") >> 32 - m.bit_length()
+                text += (tops + base).astype(width).tobytes().decode(codec)
+            parts = pattern.split(text, count)
+            need = len(text) + int(
+                mean * (count - len(parts) // (m + 1)) * 1.05) + 64
+        text, parts = parts.pop(), "".join(parts).encode(codec)
+        draws = (np.frombuffer(parts, width) - base).reshape(count, m) >> shift
         # draw i takes pool[r] and moves pool[m - 1 - i], the last of the
         # m - i left, into its place; pool is (m, count), flat
         pool = np.repeat(np.arange(m, dtype=dtype), count)
         last = pool.reshape(m, count)
-        at = draws.T * np.intp(count) + np.arange(count)
+        at = draws.T * np.intp(count)
+        at += np.arange(count)
         perm = np.empty((m, count), dtype=dtype)
         for i in range(m):
             perm[i] = pool.take(at[i])
@@ -608,14 +606,15 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
 
     Rounds are eliminated together, in blocks of as many rounds as fit in
     _BLOCK uint64 words at _round_words(n) a round, and at least one, so
-    memory stays flat in effort.  A round takes its 2n columns of n row
-    bits and a temporary as large, one row of them, and its row weights,
-    counted in 8-bit lanes while 2n <= 255 and in 16- or 32-bit lanes past
-    that, never by unpacking every bit.  This cannot change a value or a
-    witness.  A round's pivots are the first n columns of its permutation
-    that are independent on the code, whatever row each pivot is taken
-    from, and after elimination the row of pivot p is the unique codeword
-    with a 1 at p and 0 at every other pivot."""
+    memory stays flat in effort.  Replaying a full block's column orders
+    peaks 4.2 MiB higher at n = 61 and 3.5 MiB at n = 13 (tracemalloc).  A
+    round takes its 2n columns of n row bits and a temporary as large, one
+    row of them, and its row weights, counted in 8-bit lanes while 2n <= 255
+    and in 16- or 32-bit lanes past that, never by unpacking every bit.
+    This cannot change a value or a witness.  A round's pivots are the first
+    n columns of its permutation that are independent on the code, whatever
+    row each pivot is taken from, and after elimination the row of pivot p
+    is the unique codeword with a 1 at p and 0 at every other pivot."""
     n = code.n
     w = gv_guarantee(n) if w is None else w
     effort = 200 if effort is None else effort

@@ -462,6 +462,77 @@ def test_column_orders_are_rng_sample():
                 assert got == want, (m, seed, per_block)
 
 
+class _DrawCounter(random.Random):
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_column_orders_read_on_when_a_split_falls_short(monkeypatch):
+    real = spectrum._sample_pattern
+    want = {(m, seed): [rng.sample(range(m), m) for _ in range(9)]
+            for m in (61, 122, 255, 256, 257) for seed in (0, 1, 5)
+            for rng in [random.Random(seed)]}
+
+    def check(patched):
+        for (m, seed), rows in want.items():
+            for per_block in (1, 7, 9):
+                rng = _DrawCounter(seed)
+                rng.draws = 0
+                with monkeypatch.context() as mp:
+                    mp.setattr(spectrum, "_sample_pattern", patched)
+                    blocks = list(_column_orders(rng, m, 9, per_block))
+                got = [row.tolist() for b in blocks for row in b]
+                assert got == rows, (m, seed, per_block)
+                yield rng.draws, len(blocks)
+
+    # a tiny average makes every block split on too few outputs, draw 64
+    # more and split again, several times over
+    for draws, blocks in check(lambda m: (*real(m)[:3], 0.5)):
+        assert draws >= 2 * blocks
+
+    # re.split's answer had its first match failed at the start and found
+    # one output on: real outputs never give that (a later start never
+    # gets further through the pattern), but the draws it holds are not
+    # sample's, so it must be refused too
+    class Gapped:
+        def __init__(self, pattern):
+            self.pattern, self.calls = pattern, 0
+
+        def split(self, text, count):
+            self.calls += 1
+            if self.calls > 1:
+                return self.pattern.split(text, count)
+            parts = self.pattern.split(text[1:], count)
+            return [text[0] + parts[0], *parts[1:]]
+
+    list(check(lambda m: (Gapped(real(m)[0]), *real(m)[1:])))
+
+
+def test_sample_pattern_stays_latin1_below_256_and_leaves_the_bmp(
+        monkeypatch):
+    # a BMP class makes re build a 64K map: the oracle above would pass,
+    # but the pattern at 2n = 8000 would take seconds to compile
+    real = spectrum._sample_pattern
+    for m in (255, 256, 1000):
+        seen = set()
+
+        class Spy:
+            def split(self, text, count, pattern=real(m)[0]):
+                seen.update(map(ord, text))
+                return pattern.split(text, count)
+
+        monkeypatch.setattr(spectrum, "_sample_pattern",
+                            lambda m: (Spy(), *real(m)[1:]))
+        list(_column_orders(random.Random(m), m, 20, 7))
+        written = seen | set(map(ord, real(m)[0].pattern))
+        if m < 256:
+            assert max(written) < 256
+        else:
+            assert min(seen) >= 0x10000
+            assert not any(0x100 <= c < 0x10000 for c in written)
+
+
 def test_low_weight_search_weight_and_length_limits():
     code = DoubleCirculantCode(13, BitVec(0x1b3, 13))
     with pytest.raises(ValueError, match="nonnegative"):

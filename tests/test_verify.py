@@ -696,7 +696,7 @@ def test_experiment_truncation_budget():
 
 
 def test_experiment_search_truncation_budget():
-    # a search trial at n = 61 costs about 10 ms, so 64-trial blocks
+    # a search trial at n = 61 costs about 7 ms, so 64-trial blocks
     # could overrun the budget: the deadline has to be checked between
     # trials, not between blocks
     t0 = time.monotonic()
