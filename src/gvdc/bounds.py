@@ -101,14 +101,19 @@ def gv_guarantee(n: int) -> int:
 
 
 def _largest_w(two_n: int, admissible) -> int:
+    """Largest w whose nonzero ball in length two_n is admissible, for a
+    predicate that holds up to some radius and fails past it; the ball
+    grows by C(two_n, w), by the recurrence of binomials."""
     total = 0
     last = -1
+    binom = 1
     for w in range(0, two_n + 1):
-        total += math.comb(two_n, w)
+        total += binom
         if admissible(total - 1):
             last = w
         else:
             break
+        binom = binom * (two_n - w) // (w + 1)
     if last < 0:
         raise ValueError("no admissible radius at all")
     return last

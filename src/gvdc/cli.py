@@ -30,7 +30,8 @@ from .codes import (BitVec, CyclicCode, DoubleCirculantCode, bitvec_to_str,
 from .gf2poly import BudgetExceededError, Poly, factorize, poly_to_str
 from .numbertheory import is_prime, kasami_check
 from .spectrum import (dc_weight_distribution, low_weight_search,
-                       min_distance_exact, weight_distribution)
+                       min_distance_exact, search_settings,
+                       weight_distribution)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -346,7 +347,7 @@ def cmd_mindist(args) -> int:
         res = min_distance_exact(code)
     payload: dict = {"n": args.n, "a": hex(a.bits)}
     if res is None:
-        w = bounds.gv_guarantee(args.n) if args.w is None else args.w
+        w = search_settings(args.n, args.w)[0]
         payload.update({"d": None, "exact": False,
                         "note": f"no codeword of weight <= {w} found"})
     else:

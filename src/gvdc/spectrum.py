@@ -17,7 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -47,8 +47,18 @@ class DistanceResult:
     exact: bool
 
 
-def _gray_weights(basis: list[int], n: int) -> list[int]:
-    """Weight histogram of the span of `basis`, one xor per step."""
+# largest dimension that Gray-code enumeration takes on, for a cyclic code,
+# its dual, or the message space of a double circulant code
+ENUM_MAX_DIM = 26
+
+
+def _gray_weights(basis, n: int) -> list[int]:
+    """Weight histogram of the span of the iterable `basis`, one xor per
+    step.  It reads ENUM_MAX_DIM + 1 vectors at most: more are refused."""
+    basis = list(islice(basis, ENUM_MAX_DIM + 1))
+    if len(basis) > ENUM_MAX_DIM:
+        raise BudgetExceededError(f"a basis of more than {ENUM_MAX_DIM} "
+                                  "vectors exceeds the enumeration limit")
     counts = [0] * (n + 1)
     counts[0] = 1
     word = 0
@@ -58,26 +68,14 @@ def _gray_weights(basis: list[int], n: int) -> list[int]:
     return counts
 
 
-# largest dimension that Gray-code enumeration takes on, for a cyclic code,
-# its dual, or the message space of a double circulant code
-ENUM_MAX_DIM = 26
-
-
 def weight_distribution(code: CyclicCode) -> WeightDistribution:
     """Exact weight distribution of a cyclic code, by enumerating whichever
-    of the code and its dual has the smaller dimension."""
+    of it and its dual is smaller; _gray_weights takes it to ENUM_MAX_DIM."""
     n = code.n
-    dim = code.dim
-    codim = n - dim
-    if min(dim, codim) > ENUM_MAX_DIM:
-        raise BudgetExceededError(
-            f"dimension {dim} and codimension {codim} both exceed "
-            f"enumeration limit {ENUM_MAX_DIM}")
-    if dim <= codim:
-        return WeightDistribution(n, tuple(_gray_weights(code.basis(), n)))
-    dual = code.dual()
-    dual_wd = WeightDistribution(n, tuple(_gray_weights(dual.basis(), n)))
-    return macwilliams_transform(dual_wd, dual.dim)
+    side = code if code.dim <= n - code.dim else code.dual()
+    wd = WeightDistribution(n, tuple(_gray_weights(
+        (side.g << i for i in range(side.dim)), n)))
+    return wd if side is code else macwilliams_transform(wd, side.dim)
 
 
 @lru_cache(maxsize=64)
@@ -113,8 +111,7 @@ def macwilliams_transform(wd: WeightDistribution, dim: int) -> WeightDistributio
     return WeightDistribution(n, tuple(out))
 
 
-# largest n for which exact distance is offered, by min_distance_exact and
-# by exact-mode experiments
+# largest n at which _min_codewords runs uncapped, giving exact distance
 EXACT_MAX_N = 28
 
 # a column whose annihilator has more than 2^_K_BITS_MAX words is searched
@@ -238,6 +235,16 @@ def _coset_weights(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_engine(n: int, capped: bool) -> None:
+    """Refuse a _min_codewords search past n = 64, as it packs each half of
+    a codeword in one uint64 word, or uncapped past EXACT_MAX_N."""
+    limit = 64 if capped else EXACT_MAX_N
+    if n > limit:
+        raise BudgetExceededError(
+            f"the distance engine runs {'capped' if capped else 'uncapped'} "
+            f"for n <= {limit}, not n = {n}")
+
+
 def _min_codewords(n: int, columns, cap: int | None = None,
                    ) -> list[tuple[int, int]]:
     """For each column a of a sequence, the (weight, codeword) of a
@@ -271,17 +278,15 @@ def _min_codewords(n: int, columns, cap: int | None = None,
     search always ends.  Ties go to the first strict improvement in level
     order, then to the first necklace of the level, then to the first
     word of K.
-    A half is packed in one uint64 word, so n above 64 is refused with
-    BudgetExceededError.
+    _check_engine refuses, before any work, n > 64, as a half is packed
+    in one uint64 word, and n > EXACT_MAX_N without a cap.
 
     Columns are searched together: those that share g in one group, and
     those searched from the right side alone in another.  Each level is
     one gather over the group's live columns and the level's necklaces,
     in chunks of at most _BLOCK entries.  A column's value and witness do
     not depend on the columns searched with it."""
-    if n > 64:
-        raise BudgetExceededError("the distance engine packs each half of a "
-                                  f"codeword in 64 bits: n <= 64, not n = {n}")
+    _check_engine(n, cap is not None)
     modulus = ring_modulus(n)
     groups: dict[int, list[int]] = {}
     cofactors = []
@@ -374,23 +379,16 @@ def _search_group(n: int, g: int, columns: list[int], cofactors: list[int],
 
 def min_distance_exact(code: DoubleCirculantCode) -> DistanceResult:
     """Exact minimum distance with a minimum-weight witness, by the
-    two-sided weight-level search of _min_codewords."""
-    n = code.n
-    if n > EXACT_MAX_N:
-        raise BudgetExceededError(
-            f"exact distance is offered for n <= {EXACT_MAX_N}, not n = {n}. "
-            "Use low_weight_search for a randomized witness.")
-    d, word = _min_codewords(n, [code.a.bits])[0]
-    return DistanceResult(d, BitVec(word, 2 * n), True)
+    search of _min_codewords, whose _check_engine takes n <= EXACT_MAX_N."""
+    d, word = _min_codewords(code.n, [code.a.bits])[0]
+    return DistanceResult(d, BitVec(word, 2 * code.n), True)
 
 
 def dc_weight_distribution(code: DoubleCirculantCode) -> WeightDistribution:
     """Full weight distribution of the [2n, n] code by message enumeration."""
     n = code.n
-    if n > ENUM_MAX_DIM:
-        raise BudgetExceededError(
-            f"dimension {n} exceeds enumeration limit {ENUM_MAX_DIM}")
-    counts = _gray_weights(code.generator_rows(), 2 * n)
+    counts = _gray_weights((rotate(code.a.bits, i, n) | 1 << n + i
+                            for i in range(n)), 2 * n)
     return WeightDistribution(2 * n, tuple(counts))
 
 
@@ -586,11 +584,26 @@ def _column_orders(rng: random.Random, m: int, rounds: int, per_block: int):
         yield perm.T
 
 
+def search_settings(n: int, w: int | None = None,
+                    effort: int | None = None) -> tuple[int, int]:
+    """(w, effort) of low_weight_search at length n: w >= 0, gv_guarantee(n)
+    by default, and effort >= 1, 200 by default.  n is checked first."""
+    if n > SEARCH_MAX_N:
+        raise BudgetExceededError(
+            f"search mode is offered for n <= {SEARCH_MAX_N}, not n = {n}")
+    if w is not None and w < 0:
+        raise ValueError("w must be nonnegative")
+    if effort is not None and effort < 1:
+        raise ValueError("effort must be positive")
+    return (gv_guarantee(n) if w is None else w,
+            200 if effort is None else effort)
+
+
 def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
                       effort: int | None = None,
                       seed: int = 0) -> DistanceResult | None:
-    """Randomized information-set search for a codeword of weight <= w,
-    by default the volume-argument guarantee gv_guarantee(n).
+    """Randomized information-set search for a codeword of weight <= w;
+    search_settings fills in w and effort, and checks them and n, first.
 
     The generator rows, the codewords of the single-bit messages, are
     examined first.  Then each of effort rounds, 200 by default, draws a
@@ -616,15 +629,7 @@ def low_weight_search(code: DoubleCirculantCode, w: int | None = None,
     row each pivot is taken from, and after elimination the row of pivot p
     is the unique codeword with a 1 at p and 0 at every other pivot."""
     n = code.n
-    w = gv_guarantee(n) if w is None else w
-    effort = 200 if effort is None else effort
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    if effort < 1:
-        raise ValueError("effort must be positive")
-    if n > SEARCH_MAX_N:
-        raise BudgetExceededError(
-            f"search is offered for n <= {SEARCH_MAX_N}, not n = {n}")
+    w, effort = search_settings(n, w, effort)
     # the generator rows (Z^r a | e_r), the single-bit-message codewords,
     # all weigh 1 + wt(a), so the first is the first lightest
     best = code.a.bits | 1 << n

@@ -25,10 +25,12 @@ from .bounds import CONSTANTS, ProofConstants
 from .codes import (BitVec, CyclicCode, DoubleCirculantCode,
                     cyclic_from_vector, dc_sample, divisor_codes,
                     nonrepetition_codes)
-from .gf2poly import BudgetExceededError, mod_raw, ring_mul_raw, rotate
+from .gf2poly import (BudgetExceededError, degree, factorize, mod_raw,
+                      ring_mul_raw, rotate)
 from .numbertheory import _first_primes_from, is_prime, next_kasami_prime
-from .spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _gray_weights,
-                       _min_codewords, low_weight_search, weight_distribution)
+from .spectrum import (ENUM_MAX_DIM, _check_engine, _gray_weights,
+                       _min_codewords, low_weight_search, search_settings,
+                       weight_distribution)
 
 VERIFIED_EXACT = "verified-exact"
 VERIFIED_NUMERIC = "verified-numeric"
@@ -107,7 +109,19 @@ def _wd_cached(code: CyclicCode):
 def _census_all(n: int) -> dict[int, tuple[int, ...]]:
     """Exact-generator census for every divisor code of length n: entry g
     counts, by weight, the vectors spanning exactly the code with
-    generator g."""
+    generator g.  A lattice with a code whose dimension and codimension
+    both exceed ENUM_MAX_DIM cannot be enumerated, and is refused before
+    any code is listed: the codimensions are the subset sums of the
+    factor degrees of Z^n + 1."""
+    sums = 1
+    for f in factorize(n).factors:
+        sums |= sums << degree(f)
+    for codim in range(ENUM_MAX_DIM + 1, n - ENUM_MAX_DIM):
+        if sums >> codim & 1:
+            raise BudgetExceededError(
+                f"Z^{n} + 1 has a divisor code of dimension {n - codim} and "
+                f"codimension {codim}, both past the enumeration limit "
+                f"{ENUM_MAX_DIM}")
     order = sorted(divisor_codes(n), key=lambda c: c.dim)
     res: dict[int, tuple[int, ...]] = {}
     for code in order:
@@ -321,13 +335,18 @@ def verify_orbit_bound(n: int, w) -> LemmaReport:
 # level-decomposed pair sum bound
 
 
+def _prime_power(p: int, m: int) -> int:
+    """n = p^m, for an odd prime p and m >= 1, else a ValueError."""
+    if not is_prime(p) or p == 2 or m < 1:
+        raise ValueError("need an odd prime p and m >= 1")
+    return p**m
+
+
 def triple_sum_value(p: int, m: int, w) -> Fraction:
     """Exact value of the level sum: for each repetition level s < m and
     each non-repetition cyclic code C of length n/p^s, the pair count
     sum_{i+j <= w/p^s} A_i(C) A_j(C) / (|C| n / p^s)."""
-    if not is_prime(p) or p == 2 or m < 1:
-        raise ValueError("need an odd prime p and m >= 1")
-    n = p**m
+    n = _prime_power(p, m)
     W = bounds.weight_cap(2 * n, w)
     if W < 0:
         raise ValueError("w must be nonnegative")
@@ -350,20 +369,18 @@ def _level_reports(p: int, m: int, w, trials: int,
                    seed: int) -> list[LemmaReport]:
     """The level-sum audit at n = p^m of the one weight w, or with w None
     of every weight 1..2n.  p, m and trials are checked first; past
-    TABLE_MAX_N so is the engine's ceiling on n, before any bound is
+    TABLE_MAX_N so is n, by _check_engine, before any bound is
     computed.  Up to TABLE_MAX_N each report is exact.  Past it the sweep
     stops at the first bound that is not discriminating, and every weight
     is answered by one Monte Carlo pass over the same sampled columns: the
     distance search is capped at the largest w and decides d <= w exactly
     for every w up to the cap, so each hit count is exact."""
-    if not is_prime(p) or p == 2 or m < 1:
-        raise ValueError("need an odd prime p and m >= 1")
+    n = _prime_power(p, m)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    n = p**m
     sampled = n > TABLE_MAX_N
     if sampled:
-        _min_codewords(n, [])
+        _check_engine(n, capped=True)
     if w is not None:
         rhs_by_w = {w: triple_sum_value(p, m, w)}
     else:
@@ -732,10 +749,10 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     """Distance statistics for sampled (or all) circulant columns at
     length n, or p^m with m = 1 by default: give n or p, not both.
 
-    Exact mode records each code's exact minimum distance; search mode
-    records the best witness low_weight_search(code, search_weight,
-    effort) finds, which leaves either to that function's default when
-    None; search mode takes n <= SEARCH_MAX_N, and only it takes them.
+    Exact mode records each code's exact minimum distance, at the n
+    _check_engine takes; search mode records the best witness
+    low_weight_search(code, search_weight, effort) finds, and only it
+    takes those two, filled in and checked with n by search_settings.
 
     Exact trials go to the distance engine in blocks of _TRIAL_BLOCK
     columns; search trials run one at a time.  Trials run in this process,
@@ -757,33 +774,24 @@ def experiment_distance(n: int | None = None, p: int | None = None,
     shared 2-core machine, 0.03 s of it for the table."""
     if (n is None) == (p is None) or (m is not None and p is None):
         raise ValueError("give n, or p with an optional m, but not both")
-    if p is not None and (not is_prime(p) or p == 2
-                          or m is not None and m < 1):
-        raise ValueError("need an odd prime p and m >= 1")
     if n is None:
-        n = p if m is None else p**m
+        n = _prime_power(p, 1 if m is None else m)
     if mode not in ("exact", "search"):
         raise ValueError("mode must be 'exact' or 'search'")
     if exhaustive and mode != "exact":
         raise ValueError("exhaustive runs are exact only")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    if search_weight is not None and search_weight < 0:
-        raise ValueError("search weight must be nonnegative")
     if mode == "exact" and (search_weight, effort) != (None, None):
         raise ValueError("a search weight or effort is a search-mode setting")
-    if effort is not None and effort < 1:
-        raise ValueError("effort must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if max_seconds is not None and not max_seconds >= 0:
         raise ValueError(f"max_seconds must be nonnegative, not {max_seconds}")
-    if mode == "exact" and n > EXACT_MAX_N:
-        raise BudgetExceededError(
-            f"exact mode is offered for n <= {EXACT_MAX_N}, not n = {n}")
-    if mode == "search" and n > SEARCH_MAX_N:
-        raise BudgetExceededError(
-            f"search mode is offered for n <= {SEARCH_MAX_N}, not n = {n}")
+    if mode == "exact":
+        _check_engine(n, capped=False)
+    else:
+        search_weight, effort = search_settings(n, search_weight, effort)
     gv = bounds.gv_guarantee(n)
     try:
         kind, threshold = "simple", bounds.simple_threshold(n)

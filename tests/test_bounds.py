@@ -57,6 +57,29 @@ def test_gv_guarantee_is_monotone():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def test_thresholds_match_a_comb_reference():
+    # the ball grows by a fresh math.comb per radius in the reference, by
+    # the binomial recurrence in bounds
+    def largest(two_n, admissible):
+        total, last = 0, -1
+        for w in range(two_n + 1):
+            total += math.comb(two_n, w)
+            if not admissible(total - 1):
+                break
+            last = w
+        return last
+
+    for n in [*range(1, 401), 2744, 2789]:
+        cap = CONSTANTS.ball_fraction * n * 2**n
+        assert gv_guarantee(n) == largest(2 * n, lambda b: b < 2**n) + 1
+        assert main_threshold(n) == largest(2 * n, lambda b: b <= cap)
+        try:
+            simple = simple_threshold(n)
+        except ValueError:
+            continue
+        assert simple == largest(2 * n, lambda b: 2 * b < n * 2**n)
+
+
 def test_simple_threshold_values_and_domain():
     assert simple_threshold(13) == 4
     assert simple_threshold(5) == 2

@@ -14,10 +14,11 @@ import time
 
 import pytest
 
-from gvdc import cli
+from gvdc import cli, spectrum
 from gvdc.cli import main
 from gvdc.codes import BitVec, DoubleCirculantCode
-from gvdc.spectrum import low_weight_search
+from gvdc.gf2poly import BudgetExceededError
+from gvdc.spectrum import SEARCH_MAX_N, low_weight_search
 from gvdc.verify import BRUTEFORCE_MAX_N, TABLE_MAX_N
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -427,6 +428,43 @@ def test_negative_search_weight_is_usage_error(tmp_path):
     assert not list(tmp_path.iterdir())
     code, out = run_cli(base + ["--w", "0"])
     assert code == 0 and json.loads(out)["none_found"] == 2
+
+
+def test_search_settings_are_refused_alike_before_any_work(monkeypatch,
+                                                         capsys):
+    # one owner refuses a search length before it computes the default
+    # weight, and a bad weight or effort, with the same error through
+    # every entry point, before any trial is sampled
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(spectrum, "gv_guarantee", work)
+    monkeypatch.setattr(cli.audits, "_run_trials", work)
+    big = SEARCH_MAX_N + 1
+    for n, w, effort in ((big, None, None), (13, -1, None), (13, None, 0)):
+        with pytest.raises((ValueError, BudgetExceededError)) as direct:
+            low_weight_search(DoubleCirculantCode(n, BitVec(1, n)), w, effort)
+        with pytest.raises(direct.type) as run:
+            cli.audits.experiment_distance(n=n, trials=0, mode="search",
+                                           search_weight=w, effort=effort)
+        assert str(run.value) == str(direct.value)
+        argv = ["mindist", "--n", str(n), "--a", "0x1", "--search"]
+        argv += [f"--{k}={v}" for k, v in (("w", w), ("effort", effort))
+                 if v is not None]
+        code, out = run_cli(argv)
+        budget = direct.type is BudgetExceededError
+        assert code == (3 if budget else 1) and out == "", argv
+        prefix = "budget exceeded" if budget else "error"
+        assert capsys.readouterr().err == f"{prefix}: {direct.value}\n"
+
+
+def test_lattices_past_the_enumeration_limit_exit_budget_at_once(capsys):
+    for argv in (["expected", "--n", "89", "--w", "3"],
+                 ["expected", "--n", "255", "--w", "3"],
+                 ["verify", "orbit", "--n", "63"]):
+        code, out = run_cli(argv)
+        assert code == 3 and out == "", argv
+        assert "enumeration limit" in capsys.readouterr().err
 
 
 def test_search_settings_in_exact_mode_are_usage_errors(tmp_path):

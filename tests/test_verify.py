@@ -15,7 +15,8 @@ from gvdc import verify
 from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
                         dc_sample)
 from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
-from gvdc.spectrum import SEARCH_MAX_N, _min_codewords, min_distance_exact
+from gvdc.spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _min_codewords,
+                           min_distance_exact)
 from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
                          VERIFIED_NUMERIC, VIOLATED, LemmaReport,
                          dc_distance_table, expected_count_bruteforce,
@@ -516,6 +517,39 @@ def test_experiment_search_weight_and_length_limits():
         experiment_distance(n=SEARCH_MAX_N + 1, trials=1, mode="search")
     with pytest.raises(ValueError, match="search-mode"):
         experiment_distance(n=9, trials=2, search_weight=5)
+
+
+def test_an_uncapped_search_past_the_exact_limit_has_one_refusal():
+    n = EXACT_MAX_N + 1
+    refusals = set()
+    for call in (partial(min_distance_exact, dc_sample(n, 0)),
+                 partial(experiment_distance, n=n, trials=0),
+                 partial(_min_codewords, n, [1])):
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        refusals.add(str(exc.value))
+    assert len(refusals) == 1
+    # a capped search runs there: under the column 1, (Z^j, Z^j) weighs 2
+    [(d, word)] = _min_codewords(n, [1], 5)
+    assert d == 2 and word.bit_count() == 2
+
+
+def test_census_refuses_a_lattice_it_cannot_enumerate_before_listing_it(
+        monkeypatch):
+    class Listed(Exception):
+        pass
+
+    def listed(n):
+        raise Listed
+
+    monkeypatch.setattr(verify, "divisor_codes", listed)
+    census = verify._census_all.__wrapped__
+    for n in range(1, 62, 2):
+        with pytest.raises(Listed):
+            census(n)
+    for n in (63, 89, 255):
+        with pytest.raises(BudgetExceededError, match="enumeration limit"):
+            census(n)
 
 
 def test_experiment_vacuous_and_exhaustive_flags():
