@@ -137,17 +137,13 @@ def membership_probability(x: BitVec) -> Fraction:
 
 def divisor_codes(n: int) -> list[CyclicCode]:
     """All cyclic codes of odd length n, one per divisor of Z^n + 1,
-    ordered by ascending codimension then generator value."""
-    fac = factorize(n)
-    out = []
-    for mask in range(1 << len(fac.factors)):
-        g = 1
-        for i, f in enumerate(fac.factors):
-            if (mask >> i) & 1:
-                g = mul_raw(g, f)
-        out.append(CyclicCode(n, g))
-    out.sort(key=lambda c: (c.n - c.dim, c.g))
-    return out
+    indexed by factor set: code i is generated by the product of the
+    factorize(n) factors at the set bits of i.  So code 0 is the full
+    space, and code i contains code j exactly when j's bits include i's."""
+    gens = [1]
+    for f in factorize(n).factors:
+        gens += [mul_raw(g, f) for g in gens]
+    return [CyclicCode(n, g) for g in gens]
 
 
 def nonrepetition_codes(n: int) -> list[CyclicCode]:

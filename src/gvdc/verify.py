@@ -100,21 +100,27 @@ def trial_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _wd_cached(code: CyclicCode):
     return weight_distribution(code)
 
 
 @lru_cache(maxsize=8)
 def _census_all(n: int) -> dict[int, tuple[int, ...]]:
-    """Exact-generator census for every divisor code of length n: entry g
-    counts, by weight, the vectors spanning exactly the code with
-    generator g.  A lattice with a code whose dimension and codimension
-    both exceed ENUM_MAX_DIM cannot be enumerated, and is refused before
-    any code is listed: the codimensions are the subset sums of the
-    factor degrees of Z^n + 1."""
+    """Exact-generator census of the divisor codes of length n, keyed by
+    generator in divisor_codes order: entry g counts, by weight, the
+    vectors spanning exactly the code with generator g.  Code i holds the
+    vectors spanning the codes j whose bits include i's, so its weight
+    distribution is the sum of their rows, and the census is the Moebius
+    inversion of those distributions: per factor, one pass subtracts each
+    row with its bit from the row without it.  The distributions stay in
+    _wd_cached for the sums that follow.  A lattice with a code whose
+    dimension and codimension both exceed ENUM_MAX_DIM cannot be
+    enumerated, and is refused before any code is listed: the
+    codimensions are the subset sums of the factor degrees of Z^n + 1."""
+    factors = factorize(n).factors
     sums = 1
-    for f in factorize(n).factors:
+    for f in factors:
         sums |= sums << degree(f)
     for codim in range(ENUM_MAX_DIM + 1, n - ENUM_MAX_DIM):
         if sums >> codim & 1:
@@ -122,18 +128,15 @@ def _census_all(n: int) -> dict[int, tuple[int, ...]]:
                 f"Z^{n} + 1 has a divisor code of dimension {n - codim} and "
                 f"codimension {codim}, both past the enumeration limit "
                 f"{ENUM_MAX_DIM}")
-    order = sorted(divisor_codes(n), key=lambda c: c.dim)
-    res: dict[int, tuple[int, ...]] = {}
-    for code in order:
-        counts = list(_wd_cached(code).counts)
-        for other in order:
-            if other.g != code.g and mod_raw(other.g, code.g) == 0:
-                for j, c in enumerate(res[other.g]):
-                    counts[j] -= c
-        if any(c < 0 for c in counts):
-            raise AssertionError("census went negative")
-        res[code.g] = tuple(counts)
-    return res
+    codes = divisor_codes(n)
+    rows = [_wd_cached(code).counts for code in codes]
+    for bit in (1 << k for k in range(len(factors))):
+        for i in range(len(rows)):
+            if not i & bit:
+                rows[i] = tuple(a - b for a, b in zip(rows[i], rows[i | bit]))
+    if any(c < 0 for row in rows for c in row):
+        raise AssertionError("census went negative")
+    return {code.g: row for code, row in zip(codes, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +194,25 @@ def verify_lemma_cx(n: int) -> LemmaReport:
 
 
 def _weight_cap(n: int, w) -> int:
-    """floor(w) capped at the length 2n of the codes at n >= 1."""
+    """floor(w) capped at the length 2n of the codes; n >= 1, w >= 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, not {n}")
-    return bounds.weight_cap(2 * n, w)
+    W = bounds.weight_cap(2 * n, w)
+    if W < 0:
+        raise ValueError("w must be nonnegative")
+    return W
 
 
 def expected_count_exact(n: int, w) -> Fraction:
     """E[number of nonzero codewords of weight <= w] over a uniform column,
     from the divisor-lattice census: sum over codes D and generator weights
-    j of census_j(D) * |{v in D : wt(v) <= w - j}| / |D|, zero word removed."""
+    j of census_j(D) * |{v in D : wt(v) <= w - j}| / |D|, zero word removed.
+    The codes and their weight distributions are the census's own."""
     W = _weight_cap(n, w)
-    if W < 0:
-        raise ValueError("w must be nonnegative")
-    census = _census_all(n)
     total = Fraction(0)
-    for code in divisor_codes(n):
-        pairs = _pairs_within(census[code.g], _wd_cached(code).counts, W)
+    for g, census in _census_all(n).items():
+        code = CyclicCode(n, g)
+        pairs = _pairs_within(census, _wd_cached(code).counts, W)
         total += Fraction(pairs, code.size())
     return total - 1  # the zero word contributed exactly 1
 
@@ -232,8 +237,6 @@ def expected_count_bruteforce(n: int, w) -> Fraction:
     """Same expectation as expected_count_exact, by enumerating every
     column and every message."""
     W = _weight_cap(n, w)
-    if W < 0:
-        raise ValueError("w must be nonnegative")
     hist = _bruteforce_pair_hist(n)
     return Fraction(sum(hist[: W + 1]), 1 << n)
 
@@ -285,7 +288,7 @@ def prob_positive_bruteforce(n: int, w) -> Fraction:
     """Exact probability that a uniform column keeps some nonzero codeword
     of weight <= w, read from dc_distance_table (n <= TABLE_MAX_N)."""
     W = _weight_cap(n, w)
-    return Fraction(_distance_cdf(n)[W] if W >= 0 else 0, 1 << n)
+    return Fraction(_distance_cdf(n)[W], 1 << n)
 
 
 def _exact_report(lemma: str, params: dict, n: int, w, rhs) -> LemmaReport:
@@ -347,9 +350,7 @@ def triple_sum_value(p: int, m: int, w) -> Fraction:
     each non-repetition cyclic code C of length n/p^s, the pair count
     sum_{i+j <= w/p^s} A_i(C) A_j(C) / (|C| n / p^s)."""
     n = _prime_power(p, m)
-    W = bounds.weight_cap(2 * n, w)
-    if W < 0:
-        raise ValueError("w must be nonnegative")
+    W = _weight_cap(n, w)
     total = Fraction(0)
     for s in range(m):
         ns = n // p**s

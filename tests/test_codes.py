@@ -9,7 +9,7 @@ from gvdc.codes import (BitVec, CyclicCode, DoubleCirculantCode,
                         bitvec_to_str, cyclic_contains, cyclic_from_vector,
                         dc_contains, dc_sample, divisor_codes,
                         membership_probability, nonrepetition_codes)
-from gvdc.gf2poly import ring_modulus
+from gvdc.gf2poly import factorize, mod_raw, mul_raw, ring_modulus
 
 
 def word(left_bits, right_bits, n):
@@ -161,6 +161,22 @@ def test_divisor_codes_counts():
     assert len(divisor_codes(13)) == 4
     dims = {c.dim for c in divisor_codes(3)}
     assert dims == {0, 1, 2, 3}
+
+
+def test_divisor_codes_are_indexed_by_factor_set():
+    for n in range(1, 16, 2):
+        factors = factorize(n).factors
+        codes = divisor_codes(n)
+        assert len(codes) == 1 << len(factors)
+        for i, code in enumerate(codes):
+            g = 1
+            for k, f in enumerate(factors):
+                if i >> k & 1:
+                    g = mul_raw(g, f)
+            assert code == CyclicCode(n, g)
+            # code i contains code j exactly when j's bits include i's
+            for j, other in enumerate(codes):
+                assert (mod_raw(other.g, code.g) == 0) == (i & j == i)
 
 
 def test_nonrepetition_codes_counts_and_members():

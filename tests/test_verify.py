@@ -16,7 +16,7 @@ from gvdc.codes import (BitVec, DoubleCirculantCode, cyclic_from_vector,
                         dc_sample)
 from gvdc.gf2poly import BudgetExceededError, mod_raw, ring_mul_raw
 from gvdc.spectrum import (EXACT_MAX_N, SEARCH_MAX_N, _min_codewords,
-                           min_distance_exact)
+                           min_distance_exact, weight_distribution)
 from gvdc.verify import (INFORMATIVE, TABLE_MAX_N, VERIFIED_EXACT,
                          VERIFIED_NUMERIC, VIOLATED, LemmaReport,
                          dc_distance_table, expected_count_bruteforce,
@@ -136,11 +136,50 @@ def test_exact_sums_reject_lengths_below_one(exact_sum):
             exact_sum(n, 1)
 
 
-def test_bruteforce_count_rejects_a_negative_weight():
-    # as the lattice sum it checks does
-    for count in (expected_count_exact, expected_count_bruteforce):
-        with pytest.raises(ValueError, match="w must be nonnegative"):
-            count(9, -1)
+def test_bruteforce_count_rejects_a_negative_weight(monkeypatch):
+    # as every other exact sum does, before any census, table or weight
+    # distribution is computed
+    def no_work(*args):
+        raise AssertionError("work began before the weight was checked")
+
+    for name in ("_census_all", "_bruteforce_pair_hist", "_distance_cdf",
+                 "_wd_cached"):
+        monkeypatch.setattr(verify, name, no_work)
+    # all at n = 9 = 3^2
+    sums = [partial(count, 9) for count in (
+        expected_count_exact, expected_count_bruteforce,
+        prob_positive_bruteforce, orbit_bound_value)]
+    for count in sums + [partial(triple_sum_value, 3, 2)]:
+        for w in (-1, -0.5):
+            with pytest.raises(ValueError, match="w must be nonnegative"):
+                count(w)
+
+
+def test_first_moments_at_composite_lengths_enumerate_each_code_once(
+        monkeypatch):
+    # (E, orbit bound) at composite lengths, over lattices of 32 and 64
+    # codes: each code's weight distribution is enumerated once, for its
+    # census, and read back by both sums and at every divisor length
+    pinned = {
+        (21, 6): ("6396061/1048576", "381033/1048576"),
+        (33, 9): ("33414117583/8589934592", "1269799663/8589934592"),
+        (35, 9): ("64420122387/34359738368", "2975673425/34359738368"),
+        (39, 10): ("566939998443/137438953472", "15946209181/137438953472"),
+    }
+    enumerated = []
+
+    def counted(code):
+        enumerated.append((code.n, code.g))
+        return weight_distribution(code)
+
+    monkeypatch.setattr(verify, "weight_distribution", counted)
+    verify._census_all.cache_clear()
+    verify._wd_cached.cache_clear()
+    for (n, w), (e, orbit) in pinned.items():
+        assert expected_count_exact(n, w) == Fraction(e)
+        assert orbit_bound_value(n, w) == Fraction(orbit)
+    assert len(enumerated) == len(set(enumerated))
+    assert sum(1 for n, _ in enumerated if n == 35) == 64
 
 
 def test_prob_positive_versus_expectation():
@@ -410,8 +449,9 @@ def test_exhaustive_distance_table_p13():
     share = Fraction(sum(1 for d in table if d <= 4), 1 << 13)
     assert share == Fraction(153, 1024)
     assert share <= Fraction(35802, 106496)
-    # the cumulative count behind prob_positive_bruteforce, at every cap
-    for w in (-1, 0, 3.5, *range(1, 28)):
+    # the cumulative count behind prob_positive_bruteforce, at every cap;
+    # a negative cap is refused, as by every exact sum
+    for w in (0, 3.5, *range(1, 28)):
         assert prob_positive_bruteforce(13, w) == \
             Fraction(sum(1 for d in table if d <= w), 1 << 13)
 
